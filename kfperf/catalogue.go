@@ -44,7 +44,6 @@ func layer(layerName, name, unit, better string, moves ...move) metricDef {
 const (
 	fed   = "jacobi-fed"
 	ipc   = "jacobi-ipc"
-	madi  = "madi-shared"
 	mixed = "serve-mixed"
 )
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/adi"
 	"repro/internal/core"
 	"repro/internal/jacobi"
 	"repro/internal/machine"
@@ -118,25 +117,16 @@ func checkInterNode(sys *core.System) error {
 	return nil
 }
 
-// loop is a closed-loop workload: one warmed System running one
-// registered program, every run checked against an oracle.
+// loop is a closed-loop jacobi workload: one warmed System running the
+// registered program, every run checked against the sequential oracle.
 type loop struct {
-	name      string
-	newSystem func() (*core.System, error)
-	newProg   func() (*core.Program, error)
+	transport string
 	oracle    *oracle
-	verify    func(*core.System) error // a set-up check beyond the oracle, or nil
-	workers   int                      // ipc worker processes the System runs with
+	workers   int // ipc worker processes the System runs with
 }
 
 func jacobiLoop(transport string) *loop {
-	l := &loop{
-		name:      transport,
-		newSystem: func() (*core.System, error) { return jacobiSystem(transport) },
-		newProg:   func() (*core.Program, error) { return progs.Jacobi(jacobiN, 1) },
-		oracle:    jacobiOracle(),
-		verify:    checkInterNode,
-	}
+	l := &loop{transport: transport, oracle: jacobiOracle()}
 	if transport == "ipc" {
 		l.workers = jacobiNodes
 	}
@@ -148,11 +138,11 @@ func jacobiLoop(transport string) *loop {
 // the reuse caches (on ipc, on both sides of the sockets).
 func (l *loop) setup() (*core.System, *core.Program, time.Duration, error) {
 	t0 := time.Now()
-	prog, err := l.newProg()
+	prog, err := progs.Jacobi(jacobiN, 1)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	sys, err := l.newSystem()
+	sys, err := jacobiSystem(l.transport)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -163,7 +153,7 @@ func (l *loop) setup() (*core.System, *core.Program, time.Duration, error) {
 		}
 		if err != nil {
 			sys.Close()
-			return nil, nil, 0, fmt.Errorf("warm run %d on %s: %w", i, l.name, err)
+			return nil, nil, 0, fmt.Errorf("warm run %d on %s: %w", i, l.transport, err)
 		}
 	}
 	return sys, prog, time.Since(t0), nil
@@ -195,11 +185,9 @@ func measureLoop(r *run, l *loop) error {
 	if err != nil {
 		return err
 	}
-	if l.verify != nil {
-		if err := l.verify(sys); err != nil {
-			sys.Close()
-			return err
-		}
+	if err := checkInterNode(sys); err != nil {
+		sys.Close()
+		return err
 	}
 	rng := rand.New(rand.NewPCG(uint64(r.seed), 0x6a61636f6269))
 	var high, low []float64
@@ -213,7 +201,7 @@ func measureLoop(r *run, l *loop) error {
 			err = l.oracle.check(run)
 		}
 		if err != nil {
-			r.fail("%s run %d: %v", l.name, r.attempted, err)
+			r.fail("%s run %d: %v", l.transport, r.attempted, err)
 		}
 		return d
 	}
@@ -289,44 +277,4 @@ func measureLoop(r *run, l *loop) error {
 	fmt.Fprintf(os.Stderr, "kfperf: %s: %d high + %d low runs, %d set-ups in %v\n",
 		r.workload, len(high), len(low), len(setupCPU), time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// The madi-shared workload: the registered madi program (pipelined ADI,
-// one double sweep) on a warmed 8x8 shared System with the goroutine
-// executor.
-const (
-	madiN    = 256
-	madiGrid = 8
-)
-
-// madiLoop builds the madi-shared workload. Its oracle is the same
-// program run once on a federated/4 System with the calendar executor:
-// values and census must be bit-identical across transports and
-// executors.
-func madiLoop() (*loop, error) {
-	newProg := func() (*core.Program, error) {
-		return progs.ADI(adi.Params{N: madiN, A: 1, B: 1, Iters: 1}, true)
-	}
-	prog, err := newProg()
-	if err != nil {
-		return nil, err
-	}
-	ref, err := core.NewSystem(core.Grid(madiGrid, madiGrid), core.Transport("federated"),
-		core.Nodes(4), core.Executor("calendar"))
-	if err != nil {
-		return nil, err
-	}
-	defer ref.Close()
-	run, err := ref.RunProgram(prog)
-	if err != nil {
-		return nil, fmt.Errorf("madi reference run: %w", err)
-	}
-	return &loop{
-		name: "madi",
-		newSystem: func() (*core.System, error) {
-			return core.NewSystem(core.Grid(madiGrid, madiGrid), core.Executor("goroutine"))
-		},
-		newProg: newProg,
-		oracle:  &oracle{values: run.Values, stats: run.Stats},
-	}, nil
 }

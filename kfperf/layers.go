@@ -29,7 +29,9 @@ import (
 // metrics. The per-op counts, core.noop_ms and trace.overhead_frac are
 // taken on the workload's own operation (a run on its System, or for
 // serve-mixed the served request path); the rest of the ladder is the
-// same on every workload, so each traced run reports every layer.
+// same on every workload, so each traced run reports every layer. The
+// ladder is run in passes until the measurement time is up, and each
+// metric is the median of its passes.
 func traceLayers(r *run) error {
 	steps := []struct {
 		name string
@@ -45,13 +47,27 @@ func traceLayers(r *run) error {
 		{"daemon", traceDaemon},
 	}
 	procs := newProcSet(os.Getpid())
-	for _, s := range steps {
-		r.host.calibrate()
-		t0 := time.Now()
-		if err := s.f(r); err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
+	passes := map[string][]float64{}
+	start := time.Now()
+	for pass := 1; ; pass++ {
+		for _, s := range steps {
+			r.host.calibrate()
+			t0 := time.Now()
+			if err := s.f(r); err != nil {
+				return fmt.Errorf("%s: %w", s.name, err)
+			}
+			fmt.Fprintf(os.Stderr, "kfperf: traced %-10s %v\n", s.name, time.Since(t0).Round(time.Millisecond))
 		}
-		fmt.Fprintf(os.Stderr, "kfperf: traced %-10s %v\n", s.name, time.Since(t0).Round(time.Millisecond))
+		for name, v := range r.values {
+			passes[name] = append(passes[name], v)
+		}
+		if took := time.Since(start); took >= r.seconds {
+			fmt.Fprintf(os.Stderr, "kfperf: traced %d passes in %v\n", pass, took.Round(time.Millisecond))
+			break
+		}
+	}
+	for name, vs := range passes {
+		r.values[name] = median(vs)
 	}
 	if left := procs.leaked(3 * time.Second); len(left) > 0 {
 		r.fail("worker processes %v still running after the traced run", left)
@@ -152,7 +168,7 @@ func traceBoundary(r *run) error {
 	var xs [2][]float64
 	for round := 0; round < 24; round++ {
 		for i, l := range loops {
-			d, _, _ := tracedRun(r, systems[i], prog, l.oracle, "core.RunProgram/jacobi-"+l.name)
+			d, _, _ := tracedRun(r, systems[i], prog, l.oracle, "core.RunProgram/jacobi-"+l.transport)
 			xs[i] = append(xs[i], ms(d))
 		}
 	}
@@ -173,11 +189,6 @@ func traceOwn(r *run) error {
 		l = jacobiLoop("federated")
 	case ipc:
 		l = jacobiLoop("ipc")
-	case madi:
-		var err error
-		if l, err = madiLoop(); err != nil {
-			return err
-		}
 	default:
 		return nil
 	}

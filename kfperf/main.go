@@ -6,12 +6,12 @@
 // measures the per-layer ones and writes its spans to the output
 // directory.
 //
-//	kfperf --workload jacobi-fed --seed 1 --seconds 45 --trace 0
+//	kfperf --workload jacobi-fed --seed 1 --seconds 35 --trace 0
 //
-// Workloads: jacobi-fed, madi-shared, jacobi-ipc, serve-mixed (see
-// README.md). Every run is checked against a reference computed at
-// set-up; a wrong value, a wrong census, an error, a refused request or a
-// leaked worker process makes "correct" false and counts in "failed".
+// Workloads: jacobi-fed, jacobi-ipc and serve-mixed (see README.md).
+// Every run is checked against a reference computed at set-up; a wrong
+// value, a wrong census, an error, a refused request or a leaked worker
+// process makes "correct" false and counts in "failed".
 package main
 
 import (
@@ -70,31 +70,24 @@ func (r *run) set(name string, v float64) { r.values[name] = v }
 // run (traceLayers) is shared: it reads the workload's name for the
 // metrics it takes on the workload's own operation.
 var workloads = map[string]func(*run) error{
-	fed: func(r *run) error { return measureLoop(r, jacobiLoop("federated")) },
-	ipc: func(r *run) error { return measureLoop(r, jacobiLoop("ipc")) },
-	madi: func(r *run) error {
-		l, err := madiLoop()
-		if err != nil {
-			return err
-		}
-		return measureLoop(r, l)
-	},
+	fed:   func(r *run) error { return measureLoop(r, jacobiLoop("federated")) },
+	ipc:   func(r *run) error { return measureLoop(r, jacobiLoop("ipc")) },
 	mixed: measureServe,
 }
 
 func main() { os.Exit(mainErr()) }
 
 func mainErr() int {
-	workload := flag.String("workload", "", "workload: jacobi-fed, madi-shared, jacobi-ipc or serve-mixed")
+	workload := flag.String("workload", "", "workload: jacobi-fed, jacobi-ipc or serve-mixed")
 	seed := flag.Int64("seed", 1, "workload seed: same seed, same inputs")
-	seconds := flag.Int("seconds", 45, "measurement time in seconds")
+	seconds := flag.Int("seconds", 35, "measurement time in seconds")
 	traceOn := flag.Int("trace", 0, "1 = traced run reporting the per-layer metrics")
 	outDir := flag.String("out", ".", "directory for the span file")
 	kfserve := flag.String("kfserve", "kfserve", "path of the kfserve binary")
 	flag.Parse()
 	measure, ok := workloads[*workload]
 	if !ok || *seconds < 1 || (*traceOn != 0 && *traceOn != 1) {
-		fmt.Fprintf(os.Stderr, "kfperf: need --workload (jacobi-fed|madi-shared|jacobi-ipc|serve-mixed), --seconds >= 1 and --trace 0|1\n")
+		fmt.Fprintf(os.Stderr, "kfperf: need --workload (jacobi-fed|jacobi-ipc|serve-mixed), --seconds >= 1 and --trace 0|1\n")
 		return 2
 	}
 	r := &run{

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // clockTick is the unit of the CPU times in /proc/<pid>/stat (USER_HZ,
@@ -46,7 +47,23 @@ func readProc(pid int) (procInfo, error) {
 	num := func(k int) int64 { v, _ := strconv.ParseInt(f[k-3], 10, 64); return v }
 	p := procInfo{pid: pid, ppid: int(num(4)), state: f[0][0], start: uint64(num(22))}
 	p.cpu = time.Duration(num(14)+num(15)+num(16)+num(17)) * clockTick
+	if own, err := processCPU(pid); err == nil {
+		// The process's own time to the nanosecond; only its reaped
+		// children stay in clock ticks.
+		p.cpu = own + time.Duration(num(16)+num(17))*clockTick
+	}
 	return p, nil
+}
+
+// processCPU reads the CPU-time clock of process pid (all its threads,
+// live and exited), which Linux lets any process read.
+func processCPU(pid int) (time.Duration, error) {
+	var ts syscall.Timespec
+	clock := uintptr(^pid<<3 | 2) // MAKE_PROCESS_CPUCLOCK(pid, CPUCLOCK_SCHED)
+	if _, _, e := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clock, uintptr(unsafe.Pointer(&ts)), 0); e != 0 {
+		return 0, e
+	}
+	return time.Duration(ts.Nano()), nil
 }
 
 // descendants returns root and every live process below it.
@@ -235,10 +252,10 @@ func rusage(who int) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// cpu is the set's CPU time so far, as sample gives it, but to the
-// microsecond where it can be: when the set is rooted at this process,
-// its own time and that of its reaped children come from getrusage and
-// only live workers are read from /proc in clock ticks.
+// cpu is the set's CPU time so far, as sample gives it, but with no
+// part in clock ticks where it can be: when the set is rooted at this
+// process, its own time and that of its reaped children come from
+// getrusage.
 func (s *procSet) cpu() time.Duration {
 	if s.root != os.Getpid() {
 		cpu, _ := s.sample()

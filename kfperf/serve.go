@@ -548,6 +548,13 @@ func measureServe(r *run) error {
 	cpu0, _ := d.procs.sample()
 	ops0 := c.ops.Load()
 	start := time.Now()
+	// peak_rss_mb is the largest sum of the set's peak resident sizes
+	// seen after set-up and after each slice of the fixed-rate half. It
+	// takes the largest because the hot ipc key's second fleet may be
+	// evicted and spawned again at any time; it stops before the ladder,
+	// whose top rung follows the host's speed, and so would the memory of
+	// the requests in flight at it.
+	rss := d.procs.peakRSSMB()
 	var lows, highs [][]outcome
 	for i, first := 0, rng.IntN(2); i < 10; i++ {
 		if i%2 == first {
@@ -555,6 +562,7 @@ func measureServe(r *run) error {
 		} else {
 			highs = append(highs, r.phase(c, deal, highRate, slice, 0))
 		}
+		rss = max(rss, d.procs.peakRSSMB())
 	}
 	rungs := make([][][]outcome, len(ladder))
 	top := 1 // rungs in play: ladder[:top]
@@ -577,7 +585,6 @@ func measureServe(r *run) error {
 	maxRPS := maxRate(rates, scores)
 	low, high := slices.Concat(lows...), slices.Concat(highs...)
 	cpu1, _ := d.procs.sample()
-	rss := d.procs.peakRSSMB()
 	ops := float64(c.ops.Load() - ops0)
 	c.close()
 	if err := d.stop(); err != nil {
