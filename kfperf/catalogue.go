@@ -1,5 +1,7 @@
 package main
 
+import "slices"
+
 // metricKind separates the end-to-end metrics (untraced runs) from the
 // per-layer ones (the traced run). The gated end-to-end metrics are the
 // ones BENCHMARK.json bounds and the result line carries; the reported
@@ -20,21 +22,26 @@ type move struct{ Metric, Workload string }
 
 // metricDef is one entry of the benchmark's metric list. BENCHMARK.json
 // carries the same names, units and directions (a test keeps the two in
-// step); the layer and the moves live only here, because BENCHMARK.json's
-// entries have a fixed set of keys.
+// step); the workloads, the layer and the moves live only here, because
+// BENCHMARK.json's entries have a fixed set of keys.
 type metricDef struct {
 	Name, Unit, Better string
 	kind               metricKind
-	layer              string // module measured, for per-layer metrics
-	moves              []move // empty for the harness's own checks
+	on                 []string // workloads that report it; empty for every workload
+	layer              string   // module measured, for per-layer metrics
+	moves              []move   // empty for the harness's own checks
 }
+
+// appliesTo tells whether workload w reports the metric. The gated
+// end-to-end and the per-layer metrics apply to every workload.
+func (d metricDef) appliesTo(w string) bool { return len(d.on) == 0 || slices.Contains(d.on, w) }
 
 func e2e(name, unit, better string) metricDef {
 	return metricDef{Name: name, Unit: unit, Better: better, kind: kindEndToEnd}
 }
 
-func reported(name, unit, better string) metricDef {
-	return metricDef{Name: name, Unit: unit, Better: better, kind: kindReported}
+func reported(name, unit, better string, on ...string) metricDef {
+	return metricDef{Name: name, Unit: unit, Better: better, kind: kindReported, on: on}
 }
 
 func layer(layerName, name, unit, better string, moves ...move) metricDef {
@@ -53,13 +60,13 @@ var catalogue = []metricDef{
 	e2e("peak_rss_mb", "MB", "lower"),
 
 	reported("setup_wall_s", "s", "lower"),
-	reported("run_ms.p50", "ms", "lower"),
-	reported("run_ms.p90", "ms", "lower"),
-	reported("req_ms.p50.low", "ms", "lower"),
-	reported("req_ms.p90.low", "ms", "lower"),
-	reported("req_ms.p50.high", "ms", "lower"),
-	reported("req_ms.p90.high", "ms", "lower"),
-	reported("max_rps", "1/s", "higher"),
+	reported("run_ms.p50", "ms", "lower", fed, ipc),
+	reported("run_ms.p90", "ms", "lower", fed, ipc),
+	reported("req_ms.p50.low", "ms", "lower", mixed),
+	reported("req_ms.p90.low", "ms", "lower", mixed),
+	reported("req_ms.p50.high", "ms", "lower", mixed),
+	reported("req_ms.p90.high", "ms", "lower", mixed),
+	reported("max_rps", "1/s", "higher", mixed),
 
 	layer("core", "core.noop_ms", "ms", "lower", move{"run_ms.p50", ipc}, move{"run_ms.p50", fed}),
 	layer("core", "core.boundary_ms", "ms", "lower", move{"run_ms.p50", ipc}),
@@ -85,7 +92,6 @@ var catalogue = []metricDef{
 	layer("serve", "serve.misses", "count", "lower", move{"req_ms.p90.high", mixed}, move{"peak_rss_mb", mixed}),
 	layer("serve", "serve.evictions", "count", "lower", move{"req_ms.p90.high", mixed}, move{"peak_rss_mb", mixed}),
 	layer("serve", "serve.fleets", "count", "lower", move{"req_ms.p90.high", mixed}, move{"peak_rss_mb", mixed}),
-	layer("serve", "serve.rejected", "count", "lower", move{"max_rps", mixed}),
 	layer("progs", "progs.build_us", "us", "lower", move{"req_ms.p50.low", mixed}),
 	layer("serve", "serve.acquire_us", "us", "lower", move{"req_ms.p50.low", mixed}),
 	layer("serve", "serve.checkout_us", "us", "lower", move{"req_ms.p50.low", mixed}),

@@ -19,9 +19,9 @@ type benchFile struct {
 
 // The catalogue and BENCHMARK.json must list the same gated end-to-end
 // and per-layer metrics, and every layer-to-metric mapping must name an
-// end-to-end metric kfperf reports (gated or not) and a workload it runs.
-// kfperf refuses to print a result that lacks a catalogue metric, so
-// every name here is one it emits.
+// end-to-end metric kfperf reports (gated or not) on the workload named.
+// kfperf refuses to print a result that lacks a catalogue metric of its
+// workload, so every name here is one it emits.
 func TestCatalogueMatchesBenchmarkJSON(t *testing.T) {
 	raw, err := os.ReadFile("../BENCHMARK.json")
 	if err != nil {
@@ -44,13 +44,15 @@ func TestCatalogueMatchesBenchmarkJSON(t *testing.T) {
 		inFile = append(inFile, metricDef{Name: m.Name, Unit: m.Unit, Better: m.Better, kind: kindLayer})
 	}
 	var inCatalogue []metricDef
-	endToEnd := map[string]bool{}
+	endToEnd := map[string]metricDef{}
 	for _, d := range catalogue {
 		if d.kind != kindReported {
 			inCatalogue = append(inCatalogue, d)
 		}
 		if d.kind != kindLayer {
-			endToEnd[d.Name] = true
+			endToEnd[d.Name] = d
+		} else if len(d.on) > 0 {
+			t.Errorf("per-layer metric %s is limited to %v; the traced run of every workload reports every layer", d.Name, d.on)
 		}
 	}
 	if len(inFile) != len(inCatalogue) {
@@ -65,7 +67,8 @@ func TestCatalogueMatchesBenchmarkJSON(t *testing.T) {
 			t.Errorf("%s maps to no end-to-end metric", d.Name)
 		}
 		for _, mv := range d.moves {
-			if _, ok := workloads[mv.Workload]; !ok || !endToEnd[mv.Metric] {
+			e, ok := endToEnd[mv.Metric]
+			if _, run := workloads[mv.Workload]; !run || !ok || !e.appliesTo(mv.Workload) {
 				t.Errorf("%s moves %s on %s, which kfperf does not report", d.Name, mv.Metric, mv.Workload)
 			}
 		}

@@ -3,8 +3,8 @@ package main
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"os"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/core"
@@ -160,14 +160,13 @@ func (l *loop) setup() (*core.System, *core.Program, time.Duration, error) {
 }
 
 // measureLoop runs a closed-loop workload: one caller, one run at a
-// time. Time is cut into half-second slices that alternate between two
-// phases. In the high phase runs go back to back (the closed loop at its
-// own maximum rate); in the low phase the caller idles for a seeded
-// exponential gap before each run, so every run starts on a quiet
-// System. A calibration slice precedes each phase slice, and every
-// eighth slice the System is closed and a fresh one set up and warmed:
-// setup_s is the median of these set-ups, spread over the run like the
-// runs themselves so that a burst of host load reaches both alike.
+// time, back to back. Time is cut into half-second slices, each after a
+// calibration slice, and every eighth slice the System is closed and a
+// fresh one set up and warmed: setup_s is the median of these set-ups,
+// spread over the run like the runs themselves so that a burst of host
+// load reaches both alike, and peak_rss_mb the median over the Systems
+// of the process set's peak resident size while each was alive. The
+// program and its inputs are fixed; the seed is only recorded.
 func measureLoop(r *run, l *loop) error {
 	const slice, resetEvery = 500 * time.Millisecond, 8
 	procs := newProcSet(os.Getpid())
@@ -176,6 +175,13 @@ func measureLoop(r *run, l *loop) error {
 	// host load), its wall time is reported beside it.
 	var setupCPU, setupWall []float64
 	setup := func() (sys *core.System, prog *core.Program, err error) {
+		// Each System's peak starts from a heap that holds none of the
+		// previous System's freed pages, so that it does not depend on
+		// when the runtime last returned memory to the system.
+		debug.FreeOSMemory()
+		if err := resetPeakRSS(); err != nil {
+			return nil, nil, err
+		}
 		c0 := procs.cpu()
 		sys, prog, d, err := l.setup()
 		setupCPU, setupWall = append(setupCPU, (procs.cpu()-c0).Seconds()), append(setupWall, d.Seconds())
@@ -189,36 +195,19 @@ func measureLoop(r *run, l *loop) error {
 		sys.Close()
 		return err
 	}
-	rng := rand.New(rand.NewPCG(uint64(r.seed), 0x6a61636f6269))
-	var high, low []float64
-	var highWall time.Duration
-	op := func() time.Duration {
-		r.attempted++
-		t0 := time.Now()
-		run, err := sys.RunProgram(prog)
-		d := time.Since(t0)
-		if err == nil {
-			err = l.oracle.check(run)
-		}
-		if err != nil {
-			r.fail("%s run %d: %v", l.transport, r.attempted, err)
-		}
-		return d
-	}
+	var runs []float64
 	// excluded is CPU spent on calibration and set-ups, which
 	// cpu_ms_per_op leaves out.
 	var excluded time.Duration
-	// rss is the peak over set-up and the first System's slices, read
-	// before any replacement, when two Systems may briefly coexist.
-	rss := -1.0
+	// rss holds the peak of each System's life, from its set-up to its
+	// last slice; the ipc workers live as long as their System.
+	var rss []float64
 	cpu0 := procs.cpu()
 	start := time.Now()
 	deadline := start.Add(r.seconds)
-	for i, phase := 0, rng.IntN(2); time.Now().Before(deadline); i, phase = i+1, phase^1 {
+	for i := 0; time.Now().Before(deadline); i++ {
 		if i > 0 && i%resetEvery == 0 {
-			if i == resetEvery {
-				rss = procs.peakRSSMB()
-			}
+			rss = append(rss, procs.peakRSSMB())
 			c0 := procs.cpu()
 			if err := sys.Close(); err != nil {
 				r.fail("close: %v", err)
@@ -231,24 +220,15 @@ func measureLoop(r *run, l *loop) error {
 		c0 := selfCPU()
 		r.host.calibrate()
 		excluded += selfCPU() - c0
-		end := time.Now().Add(slice)
-		if phase == 0 {
-			t0 := time.Now()
-			for time.Now().Before(end) {
-				high = append(high, ms(op()))
-			}
-			highWall += time.Since(t0)
-			continue
-		}
-		for time.Now().Before(end) {
-			time.Sleep(time.Duration((10 + 40*rng.ExpFloat64()) * float64(time.Millisecond)))
-			low = append(low, ms(op()))
+		for end := time.Now().Add(slice); time.Now().Before(end); {
+			d, _ := checkedRun(r, sys, prog, l.oracle, "core.RunProgram/"+r.workload)
+			runs = append(runs, ms(d))
 		}
 	}
 	cpu1 := procs.cpu()
 	_, workers := procs.sample()
-	if rss < 0 {
-		rss = procs.peakRSSMB()
+	if len(rss) == 0 { // a run too short to replace the System
+		rss = append(rss, procs.peakRSSMB())
 	}
 	if err := sys.Close(); err != nil {
 		r.fail("close: %v", err)
@@ -259,22 +239,13 @@ func measureLoop(r *run, l *loop) error {
 	if left := procs.leaked(3 * time.Second); len(left) > 0 {
 		r.fail("worker processes %v still running after Close", left)
 	}
-	ops := float64(len(high) + len(low))
 	r.set("setup_s", median(setupCPU))
 	r.set("setup_wall_s", median(setupWall))
-	r.set("run_ms.p50", quantile(high, 0.5))
-	r.set("run_ms.p90", quantile(high, 0.9))
-	// On a closed loop the high rate is back to back, so the due time of
-	// a run is the end of the previous one and its latency is its run
-	// time: req_ms.*.high repeat run_ms.*.
-	r.set("req_ms.p50.high", quantile(high, 0.5))
-	r.set("req_ms.p90.high", quantile(high, 0.9))
-	r.set("req_ms.p50.low", quantile(low, 0.5))
-	r.set("req_ms.p90.low", quantile(low, 0.9))
-	r.set("max_rps", float64(len(high))/highWall.Seconds())
-	r.set("cpu_ms_per_op", ms(cpu1-cpu0-excluded)/ops)
-	r.set("peak_rss_mb", rss)
-	fmt.Fprintf(os.Stderr, "kfperf: %s: %d high + %d low runs, %d set-ups in %v\n",
-		r.workload, len(high), len(low), len(setupCPU), time.Since(start).Round(time.Millisecond))
+	r.set("run_ms.p50", quantile(runs, 0.5))
+	r.set("run_ms.p90", quantile(runs, 0.9))
+	r.set("cpu_ms_per_op", ms(cpu1-cpu0-excluded)/float64(len(runs)))
+	r.set("peak_rss_mb", median(rss))
+	fmt.Fprintf(os.Stderr, "kfperf: %s: %d runs, %d set-ups in %v\n",
+		r.workload, len(runs), len(setupCPU), time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -46,7 +45,7 @@ func traceLayers(r *run) error {
 		{"replay", traceReplay},
 		{"daemon", traceDaemon},
 	}
-	procs := newProcSet(os.Getpid())
+	r.procs = newProcSet(os.Getpid())
 	passes := map[string][]float64{}
 	start := time.Now()
 	for pass := 1; ; pass++ {
@@ -69,15 +68,32 @@ func traceLayers(r *run) error {
 	for name, vs := range passes {
 		r.values[name] = median(vs)
 	}
-	if left := procs.leaked(3 * time.Second); len(left) > 0 {
+	if left := r.procs.leaked(3 * time.Second); len(left) > 0 {
 		r.fail("worker processes %v still running after the traced run", left)
 	}
 	r.set("host.calib_ms", median(r.host.CalibMs))
 	return nil
 }
 
-// memDelta is the allocation record of one call.
+// watchWorkers records the live worker processes, so that the leak check
+// at the end of the traced run covers them, and checks their number.
+func watchWorkers(r *run, want int, what string) {
+	if _, n := r.procs.sample(); n != want {
+		r.fail("%s: %d worker processes, want %d", what, n, want)
+	}
+}
+
+// memDelta is the allocation record of a sequence of calls.
 type memDelta struct{ allocs, bytes, gcs float64 }
+
+// add returns d plus the allocations between two reads.
+func (d memDelta) add(m0, m1 runtime.MemStats) memDelta {
+	return memDelta{
+		allocs: d.allocs + float64(m1.Mallocs-m0.Mallocs),
+		bytes:  d.bytes + float64(m1.TotalAlloc-m0.TotalAlloc),
+		gcs:    d.gcs + float64(m1.NumGC-m0.NumGC),
+	}
+}
 
 func readMem() runtime.MemStats {
 	var ms runtime.MemStats
@@ -85,42 +101,28 @@ func readMem() runtime.MemStats {
 	return ms
 }
 
-// tracedRun runs prog on sys inside a span, with the allocation deltas
-// around the call, and checks the result.
-func tracedRun(r *run, sys *core.System, prog *core.Program, o *oracle, name string) (time.Duration, core.Run, memDelta) {
+// checkedRun runs prog on sys inside a span (none when r is untraced),
+// counts it and checks the result against o.
+func checkedRun(r *run, sys *core.System, prog *core.Program, o *oracle, name string) (time.Duration, core.Run) {
 	r.attempted++
-	op := r.attempted
-	m0 := readMem()
 	var run core.Run
 	var err error
-	d := r.tr.timed(name, 0, op, func() { run, err = sys.RunProgram(prog) })
-	m1 := readMem()
-	if err == nil && o != nil {
+	d := r.tr.timed(name, 0, r.attempted, func() { run, err = sys.RunProgram(prog) })
+	if err == nil {
 		err = o.check(run)
 	}
 	if err != nil {
 		r.fail("%s: %v", name, err)
 	}
-	return d, run, memDelta{
-		allocs: float64(m1.Mallocs - m0.Mallocs),
-		bytes:  float64(m1.TotalAlloc - m0.TotalAlloc),
-		gcs:    float64(m1.NumGC - m0.NumGC),
-	}
+	return d, run
 }
 
-// plainRun is the untraced counterpart of tracedRun.
-func plainRun(r *run, sys *core.System, prog *core.Program, o *oracle) time.Duration {
-	r.attempted++
-	t0 := time.Now()
-	run, err := sys.RunProgram(prog)
-	d := time.Since(t0)
-	if err == nil {
-		err = o.check(run)
-	}
-	if err != nil {
-		r.fail("untraced run: %v", err)
-	}
-	return d
+// untraced calls f with r's tracer off.
+func untraced(r *run, f func()) {
+	tr := r.tr
+	r.tr = nil
+	defer func() { r.tr = tr }()
+	f()
 }
 
 // noopMs is the median wall time of the registered no-op program hostpid
@@ -165,10 +167,11 @@ func traceBoundary(r *run) error {
 		defer sys.Close()
 		systems[i], prog = sys, p
 	}
+	watchWorkers(r, jacobiNodes, "boundary Systems")
 	var xs [2][]float64
 	for round := 0; round < 24; round++ {
 		for i, l := range loops {
-			d, _, _ := tracedRun(r, systems[i], prog, l.oracle, "core.RunProgram/jacobi-"+l.transport)
+			d, _ := checkedRun(r, systems[i], prog, l.oracle, "core.RunProgram/jacobi-"+l.transport)
 			xs[i] = append(xs[i], ms(d))
 		}
 	}
@@ -197,21 +200,30 @@ func traceOwn(r *run) error {
 		return err
 	}
 	defer sys.Close()
+	watchWorkers(r, l.workers, r.workload+" System")
 	const rounds = 24
 	var traced, plain []float64
 	var mem memDelta
 	var last core.Run
+	name := "core.RunProgram/" + r.workload
+	plainRun := func() {
+		untraced(r, func() {
+			d, _ := checkedRun(r, sys, prog, l.oracle, name)
+			plain = append(plain, ms(d))
+		})
+	}
 	// The untraced run goes first on odd rounds and second on even ones,
 	// so neither side always follows the same neighbour.
 	for i := 0; i < rounds; i++ {
 		if i%2 == 1 {
-			plain = append(plain, ms(plainRun(r, sys, prog, l.oracle)))
+			plainRun()
 		}
-		d, run, m := tracedRun(r, sys, prog, l.oracle, "core.RunProgram/"+r.workload)
+		m0 := readMem()
+		d, run := checkedRun(r, sys, prog, l.oracle, name)
+		mem = mem.add(m0, readMem())
 		traced, last = append(traced, ms(d)), run
-		mem = memDelta{mem.allocs + m.allocs, mem.bytes + m.bytes, mem.gcs + m.gcs}
 		if i%2 == 0 {
-			plain = append(plain, ms(plainRun(r, sys, prog, l.oracle)))
+			plainRun()
 		}
 	}
 	noop, err := noopMs(r, sys)
@@ -430,10 +442,13 @@ func traceIPCIter(r *run) error {
 	per := map[string]time.Duration{}
 	for t, sys := range systems {
 		for _, it := range []int{few, many} { // warm both programs
-			tracedRun(r, sys, iters[it], oracles[it], "core.RunProgram/ipc-iter")
+			checkedRun(r, sys, iters[it], oracles[it], "core.RunProgram/ipc-iter")
+		}
+		if t == "ipc" { // the fleet spawns on the first run
+			watchWorkers(r, 2, "ipc/2 System")
 		}
 		d, err := amortised(5, few, many, func(k int) (time.Duration, error) {
-			d, _, _ := tracedRun(r, sys, iters[k], oracles[k], "core.RunProgram/ipc-iter-"+t)
+			d, _ := checkedRun(r, sys, iters[k], oracles[k], "core.RunProgram/ipc-iter-"+t)
 			return d, nil
 		})
 		if err != nil {
@@ -489,16 +504,13 @@ func traceReplay(r *run) error {
 				if err != nil {
 					return err
 				}
-				m1 := readMem()
+				mem = mem.add(m0, readMem())
 				traced = append(traced, ms(d))
-				mem = memDelta{mem.allocs + float64(m1.Mallocs-m0.Mallocs), mem.bytes + float64(m1.TotalAlloc-m0.TotalAlloc), mem.gcs + float64(m1.NumGC-m0.NumGC)}
 				census = append(census, o)
 				continue
 			}
-			tr := r.tr
-			r.tr = nil
-			d, _, err := replayOne(r, m, pool, sched, ti, nil)
-			r.tr = tr
+			var d time.Duration
+			untraced(r, func() { d, _, err = replayOne(r, m, pool, sched, ti, nil) })
 			if err != nil {
 				return err
 			}
@@ -652,12 +664,6 @@ func traceDaemon(r *run) error {
 	}
 	total := float64(len(low) + len(high))
 	delta := func(name string) float64 { return after[name] - before[name] }
-	rejected := 0.0
-	for k := range after {
-		if strings.HasPrefix(k, "kfserve_runs_total{") && (strings.Contains(k, `outcome="queue_full"`) || strings.Contains(k, `outcome="deadline"`)) {
-			rejected += delta(k)
-		}
-	}
 	r.set("serve.queue_ms.p50", median(queue))
 	r.set("serve.run_ms.p50", median(runMs))
 	r.set("serve.overhead_ms.p50", median(overhead))
@@ -666,7 +672,6 @@ func traceDaemon(r *run) error {
 	r.set("serve.misses", delta("kfserve_pool_misses_total"))
 	r.set("serve.evictions", delta("kfserve_pool_evictions_total"))
 	r.set("serve.fleets", float64(workers)/float64(hotTenants[0].req.Nodes))
-	r.set("serve.rejected", rejected)
 	r.set("gen.lag_ms.p90", quantile(lag, 0.9))
 	if r.workload != mixed {
 		return nil
@@ -681,6 +686,7 @@ func traceDaemon(r *run) error {
 	if err != nil {
 		return err
 	}
+	watchWorkers(r, hotTenants[0].req.Nodes, "ipc tenant System")
 	r.set("core.noop_ms", noop)
 	return nil
 }

@@ -48,7 +48,8 @@ type run struct {
 	outDir   string
 	kfserve  string // path of the kfserve binary (serve-mixed and the traced serve layers)
 	host     *hostRecord
-	tr       *tracer // nil when untraced
+	tr       *tracer  // nil when untraced
+	procs    *procSet // the traced run's process set, for its leak check
 
 	attempted, failed int64
 	failures          []string // first few failure reasons, for the log
@@ -115,7 +116,7 @@ func mainErr() int {
 	}
 	res := result{Attempted: r.attempted, Failed: r.failed, Metrics: map[string]metric{}}
 	for _, d := range catalogue {
-		if d.kind != kind && (kind != kindEndToEnd || d.kind != kindReported) {
+		if !d.appliesTo(*workload) || (d.kind != kind && (kind != kindEndToEnd || d.kind != kindReported)) {
 			continue
 		}
 		v, ok := r.values[d.Name]

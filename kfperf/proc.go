@@ -120,7 +120,13 @@ func (s *procSet) sample() (cpu time.Duration, workers int) {
 
 // peakRSSMB sums the peak resident set (VmHWM) of the live processes.
 func (s *procSet) peakRSSMB() float64 {
-	var kb int64
+	root, rest := s.peakRSSParts()
+	return root + rest
+}
+
+// peakRSSParts returns the peak resident set (VmHWM) of the root process
+// and the sum of those of its live descendants, in MB.
+func (s *procSet) peakRSSParts() (root, rest float64) {
 	for _, p := range descendants(s.root) {
 		b, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", p.pid))
 		if err != nil {
@@ -128,13 +134,21 @@ func (s *procSet) peakRSSMB() float64 {
 		}
 		for _, line := range strings.Split(string(b), "\n") {
 			if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-				n, _ := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
-				kb += n
+				kb, _ := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
+				if p.pid == s.root {
+					root += float64(kb) / 1024
+				} else {
+					rest += float64(kb) / 1024
+				}
 			}
 		}
 	}
-	return float64(kb) / 1024
+	return root, rest
 }
+
+// resetPeakRSS restarts this process's peak resident size (VmHWM) from
+// its current size.
+func resetPeakRSS() error { return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) }
 
 // leaked waits up to grace for every observed descendant to end and
 // returns those still running. A zombie has ended; a pid now held by a

@@ -34,7 +34,6 @@ const (
 	highRate   = 60.0            // the fixed rate req_ms.*.high reports
 	limitMs    = 100.0           // latency limit on req_ms.p90 for max_rps
 	reqTimeout = 5 * time.Second // per-request queue-wait deadline sent to the daemon
-	coldSlots  = 2               // cold-tail requests per block of the mix
 	setups     = 5               // daemon set-ups per run; setup_s is their median
 )
 
@@ -44,25 +43,19 @@ var ladder = []float64{80, 100, 120, 140, 170, 200, 240}
 
 // tenant is one kind of request in the mix.
 type tenant struct {
-	name     string
-	req      serve.RunRequest
-	perBlock int // requests in every block of the mix; 0 for the cold tail
+	name string
+	req  serve.RunRequest
+	hot  bool // a warmed key; false for the cold tail
 }
 
 // hotTenants are the warmed keys. jacobi 4x4 and madi share one pool key
-// (shared transport, goroutine executor, 4x4 grid). The mix is dealt in
-// blocks of 20 requests with these fixed counts plus two cold-tail
-// requests, shuffled by the seed, so every run has the same proportions.
-// By latency the tenants sort into jacobi 4x4 (25%), shared 8x8 and the
-// cold tail (45%), and the slow ipc and madi (15% each): the median
-// lands inside the middle group and p90 inside the slowest, not on a
-// boundary between groups, where small changes in the draw would swing
-// it from one group to the other.
+// (shared transport, goroutine executor, 4x4 grid). The first three are
+// the tenants of kfbench -serve-bench's rotation.
 var hotTenants = []tenant{
-	{"jacobi8-ipc", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}, Transport: "ipc", Nodes: 4}, 3},
-	{"jacobi8-shared", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}}, 7},
-	{"jacobi4-2sweeps", serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{4, 4}}, 5},
-	{"madi64", serve.RunRequest{Program: "madi", Args: []float64{64, 1, 1, 0, 1}, Grid: []int{4, 4}, Executor: "goroutine"}, 3},
+	{"jacobi8-ipc", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}, Transport: "ipc", Nodes: 4}, true},
+	{"jacobi8-shared", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}}, true},
+	{"jacobi4-2sweeps", serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{4, 4}}, true},
+	{"madi64", serve.RunRequest{Program: "madi", Args: []float64{64, 1, 1, 0, 1}, Grid: []int{4, 4}, Executor: "goroutine"}, true},
 }
 
 // coldTenants are the cold tail: 25 shared-transport keys, more than the
@@ -72,7 +65,7 @@ func coldTenants() []tenant {
 	for _, a := range []int{2, 3, 5, 6, 7} {
 		for _, b := range []int{2, 3, 5, 6, 7} {
 			out = append(out, tenant{fmt.Sprintf("cold-%dx%d", a, b),
-				serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{a, b}}, 0})
+				serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{a, b}}, false})
 		}
 	}
 	return out
@@ -128,22 +121,23 @@ type dealer struct {
 
 func (m *mix) dealer(rng *rand.Rand) *dealer { return &dealer{m: m, rng: rng} }
 
-// next deals the next tenant: each block holds every hot tenant's
-// perBlock requests and coldSlots requests for cold keys drawn at
-// random, in a seeded random order.
+// next deals the next tenant. The mix weighs its five parts equally, as
+// kfbench -serve-bench's rotation weighs its tenants: it is dealt in
+// blocks holding each hot tenant once and one cold key drawn at random,
+// in a seeded random order, so every run has the same proportions and
+// the cold tail is a fifth of the requests.
 func (d *dealer) next() int {
 	if len(d.hand) == 0 {
-		hot := 0
+		var cold []int
 		for ti, t := range d.m.tenants {
-			for k := 0; k < t.perBlock; k++ {
+			if t.hot {
 				d.hand = append(d.hand, ti)
-			}
-			if t.perBlock > 0 {
-				hot = ti + 1
+			} else {
+				cold = append(cold, ti)
 			}
 		}
-		for k := 0; k < coldSlots && hot < len(d.m.tenants); k++ {
-			d.hand = append(d.hand, hot+d.rng.IntN(len(d.m.tenants)-hot))
+		if len(cold) > 0 {
+			d.hand = append(d.hand, cold[d.rng.IntN(len(cold))])
 		}
 		d.rng.Shuffle(len(d.hand), func(i, j int) { d.hand[i], d.hand[j] = d.hand[j], d.hand[i] })
 	}
@@ -389,20 +383,38 @@ func (d *daemon) stop() error {
 	}
 }
 
-// warm sends each hot tenant twice in turn and then as a concurrent
-// pair, so every hot key holds two warmed Systems — as many as the
-// daemon's two run slots can ask for at once.
+// warm sends each hot tenant twice in turn and then as concurrent pairs
+// until its key holds two idle Systems — as many as the daemon's two run
+// slots can ask for at once. A pair whose requests do not overlap on the
+// daemon leaves one System, so the pair is repeated, up to warmTries
+// times; otherwise the run would start with one ipc fleet or two by
+// chance, and its memory with it.
 func warm(c *client) error {
-	for ti := range hotTenants {
+	const warmTries = 20
+	for ti, t := range hotTenants {
 		a := arrival{tenant: ti}
 		for i := 0; i < 2; i++ {
 			if o := c.send(0, a); o.err != nil {
-				return fmt.Errorf("warming %s: %w", hotTenants[ti].name, o.err)
+				return fmt.Errorf("warming %s: %w", t.name, o.err)
 			}
 		}
-		for _, o := range drive([]arrival{a, a}, conns, c.send) {
-			if o.err != nil {
-				return fmt.Errorf("warming %s: %w", hotTenants[ti].name, o.err)
+		_, key := requestOptions(t.req)
+		idle := fmt.Sprintf("kfserve_pool_idle_systems{key=%q}", key)
+		for try := 0; ; try++ {
+			for _, o := range drive([]arrival{a, a}, conns, c.send) {
+				if o.err != nil {
+					return fmt.Errorf("warming %s: %w", t.name, o.err)
+				}
+			}
+			m, err := c.metrics()
+			if err != nil {
+				return err
+			}
+			if m[idle] >= conns {
+				break
+			}
+			if try == warmTries-1 {
+				return fmt.Errorf("warming %s: %d concurrent pairs left %v idle Systems, want %d", t.name, warmTries, m[idle], conns)
 			}
 		}
 	}
@@ -443,6 +455,9 @@ func setupServeMedian(r *run, m *mix) (d *daemon, c *client, cpuS, wallS float64
 		c.close()
 		if err := d.stop(); err != nil {
 			return nil, nil, 0, 0, fmt.Errorf("stopping set-up daemon: %w", err)
+		}
+		if left := d.procs.leaked(3 * time.Second); len(left) > 0 {
+			r.fail("worker processes %v still running after set-up daemon %d drained", left, i+1)
 		}
 	}
 }
@@ -545,25 +560,41 @@ func measureServe(r *run) error {
 	deal := m.dealer(rng)
 	slice := r.seconds / 20
 
-	cpu0, _ := d.procs.sample()
 	ops0 := c.ops.Load()
 	start := time.Now()
-	// peak_rss_mb is the largest sum of the set's peak resident sizes
-	// seen after set-up and after each slice of the fixed-rate half. It
-	// takes the largest because the hot ipc key's second fleet may be
-	// evicted and spawned again at any time; it stops before the ladder,
-	// whose top rung follows the host's speed, and so would the memory of
-	// the requests in flight at it.
-	rss := d.procs.peakRSSMB()
+	// peak_rss_mb is the daemon's peak resident size at the end of the
+	// fixed-rate half plus the largest sum of its live workers' peaks seen
+	// after set-up or after any slice of that half. The workers' part is
+	// the largest because the hot ipc key's second fleet may be evicted
+	// and spawned again at any time: set-up leaves both fleets alive. The
+	// ladder is left out, because its top rung follows the host's speed,
+	// and so would the memory of the requests in flight at it.
+	_, workersRSS := d.procs.peakRSSParts()
+	// cpu_ms_per_op is the median over the slices of the fixed-rate half
+	// of each slice's CPU per request. It leaves out the ladder, because
+	// how far the ladder climbs follows the host's speed, and so would the
+	// rates its requests ran at; the median leaves out a slice in which
+	// the hot ipc key's second fleet was spawned again (four worker
+	// start-ups), which happens a seed- and timing-dependent number of
+	// times.
 	var lows, highs [][]outcome
+	var cpuPerOp []float64
+	cpu0, _ := d.procs.sample()
 	for i, first := 0, rng.IntN(2); i < 10; i++ {
+		var out []outcome
 		if i%2 == first {
-			lows = append(lows, r.phase(c, deal, lowRate, slice, 0))
+			out = r.phase(c, deal, lowRate, slice, 0)
+			lows = append(lows, out)
 		} else {
-			highs = append(highs, r.phase(c, deal, highRate, slice, 0))
+			out = r.phase(c, deal, highRate, slice, 0)
+			highs = append(highs, out)
 		}
-		rss = max(rss, d.procs.peakRSSMB())
+		cpu1, _ := d.procs.sample()
+		cpuPerOp, cpu0 = append(cpuPerOp, ms(cpu1-cpu0)/float64(len(out))), cpu1
+		_, w := d.procs.peakRSSParts()
+		workersRSS = max(workersRSS, w)
 	}
+	daemonRSS, _ := d.procs.peakRSSParts()
 	rungs := make([][][]outcome, len(ladder))
 	top := 1 // rungs in play: ladder[:top]
 	for deadline := time.Now().Add(r.seconds / 2); time.Now().Before(deadline); {
@@ -584,8 +615,6 @@ func measureServe(r *run) error {
 	}
 	maxRPS := maxRate(rates, scores)
 	low, high := slices.Concat(lows...), slices.Concat(highs...)
-	cpu1, _ := d.procs.sample()
-	ops := float64(c.ops.Load() - ops0)
 	c.close()
 	if err := d.stop(); err != nil {
 		r.fail("kfserve drain: %v", err)
@@ -593,21 +622,15 @@ func measureServe(r *run) error {
 	if left := d.procs.leaked(3 * time.Second); len(left) > 0 {
 		r.fail("worker processes %v still running after the daemon drained", left)
 	}
-	var lowRun []float64
-	for _, o := range low {
-		lowRun = append(lowRun, o.runMs)
-	}
 	r.set("setup_s", setupS)
 	r.set("setup_wall_s", setupWall)
-	r.set("run_ms.p50", quantile(lowRun, 0.5))
-	r.set("run_ms.p90", quantile(lowRun, 0.9))
 	r.set("req_ms.p50.low", quantile(latencies(low), 0.5))
 	r.set("req_ms.p90.low", quantile(latencies(low), 0.9))
 	r.set("req_ms.p50.high", quantile(latencies(high), 0.5))
 	r.set("req_ms.p90.high", quantile(latencies(high), 0.9))
 	r.set("max_rps", maxRPS)
-	r.set("cpu_ms_per_op", ms(cpu1-cpu0)/ops)
-	r.set("peak_rss_mb", rss)
+	r.set("cpu_ms_per_op", median(cpuPerOp))
+	r.set("peak_rss_mb", daemonRSS+workersRSS)
 	for ti, t := range hotTenants {
 		var run, lat []float64
 		for _, o := range low {
@@ -617,6 +640,6 @@ func measureServe(r *run) error {
 		}
 		fmt.Fprintf(os.Stderr, "kfperf: low rate %-16s n=%3d run p50 %6.2f ms, latency p50 %6.2f ms\n", t.name, len(run), median(run), median(lat))
 	}
-	fmt.Fprintf(os.Stderr, "kfperf: %d requests in %v, %d low, %d at %.0f/s\n", int(ops), time.Since(start).Round(time.Millisecond), len(low), len(high), highRate)
+	fmt.Fprintf(os.Stderr, "kfperf: %d requests in %v, %d at %.0f/s, %d at %.0f/s\n", c.ops.Load()-ops0, time.Since(start).Round(time.Millisecond), len(low), lowRate, len(high), highRate)
 	return nil
 }

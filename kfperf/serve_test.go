@@ -47,7 +47,7 @@ func TestDriveChargesStallToQueuedRequests(t *testing.T) {
 // operation, against the attempted ones.
 func TestPlantedWrongValueCountsAsFailure(t *testing.T) {
 	ref := &oracle{values: []float64{1, 2, 3}, stats: machine.Stats{Flops: 9, MsgsSent: 4, BytesSent: 32, MsgsRecv: 4}}
-	m := &mix{tenants: []tenant{{name: "t", req: serve.RunRequest{Program: "jacobi", Grid: []int{1}}, perBlock: 1}}, refs: []*oracle{ref}}
+	m := &mix{tenants: []tenant{{name: "t", req: serve.RunRequest{Program: "jacobi", Grid: []int{1}}, hot: true}}, refs: []*oracle{ref}}
 	var n atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		resp := serve.RunResponse{Values: append([]float64(nil), ref.values...), Stats: ref.stats}
