@@ -45,17 +45,25 @@ var ladder = []float64{80, 100, 120, 140, 170, 200, 240}
 type tenant struct {
 	name string
 	req  serve.RunRequest
-	hot  bool // a warmed key; false for the cold tail
+	kind tenantKind
 }
+
+type tenantKind int
+
+const (
+	hot  tenantKind = iota // a warmed key
+	cold                   // the cold tail
+	pair                   // sent only by warm, never dealt: see pairRequest
+)
 
 // hotTenants are the warmed keys. jacobi 4x4 and madi share one pool key
 // (shared transport, goroutine executor, 4x4 grid). The first three are
 // the tenants of kfbench -serve-bench's rotation.
 var hotTenants = []tenant{
-	{"jacobi8-ipc", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}, Transport: "ipc", Nodes: 4}, true},
-	{"jacobi8-shared", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}}, true},
-	{"jacobi4-2sweeps", serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{4, 4}}, true},
-	{"madi64", serve.RunRequest{Program: "madi", Args: []float64{64, 1, 1, 0, 1}, Grid: []int{4, 4}, Executor: "goroutine"}, true},
+	{"jacobi8-ipc", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}, Transport: "ipc", Nodes: 4}, hot},
+	{"jacobi8-shared", serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{8, 8}}, hot},
+	{"jacobi4-2sweeps", serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{4, 4}}, hot},
+	{"madi64", serve.RunRequest{Program: "madi", Args: []float64{64, 1, 1, 0, 1}, Grid: []int{4, 4}, Executor: "goroutine"}, hot},
 }
 
 // coldTenants are the cold tail: 25 shared-transport keys, more than the
@@ -65,10 +73,22 @@ func coldTenants() []tenant {
 	for _, a := range []int{2, 3, 5, 6, 7} {
 		for _, b := range []int{2, 3, 5, 6, 7} {
 			out = append(out, tenant{fmt.Sprintf("cold-%dx%d", a, b),
-				serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{a, b}}, false})
+				serve.RunRequest{Program: "jacobi", Args: []float64{8, 1}, Grid: []int{a, b}}, cold})
 		}
 	}
 	return out
+}
+
+// pairRequest is the request warm sends as concurrent pairs to give
+// req's pool key its second System: jacobi on the same key (the pool
+// keys Systems by grid, transport, nodes, executor and cost model, not
+// by program), sized so that one run takes milliseconds. Two of the hot
+// tenants' own runs, some under half a millisecond, sent at once
+// overlapped on the daemon so rarely on a loaded host that a key could
+// still hold one System after 20 pairs.
+func pairRequest(req serve.RunRequest) serve.RunRequest {
+	req.Program, req.Args = "jacobi", []float64{64, 8}
+	return req
 }
 
 // mix is the whole tenant list with a reference per tenant: the
@@ -76,10 +96,18 @@ func coldTenants() []tenant {
 type mix struct {
 	tenants []tenant
 	refs    []*oracle
+	pairs   map[string]int // hot pool key -> its pair tenant
 }
 
 func newMix() (*mix, error) {
-	m := &mix{tenants: append(append([]tenant(nil), hotTenants...), coldTenants()...)}
+	m := &mix{tenants: append(append([]tenant(nil), hotTenants...), coldTenants()...), pairs: map[string]int{}}
+	for _, t := range hotTenants {
+		_, key := requestOptions(t.req)
+		if _, ok := m.pairs[key]; !ok {
+			m.pairs[key] = len(m.tenants)
+			m.tenants = append(m.tenants, tenant{t.name + "-pair", pairRequest(t.req), pair})
+		}
+	}
 	for _, t := range m.tenants {
 		o, err := sharedReference(t.req)
 		if err != nil {
@@ -128,16 +156,17 @@ func (m *mix) dealer(rng *rand.Rand) *dealer { return &dealer{m: m, rng: rng} }
 // the cold tail is a fifth of the requests.
 func (d *dealer) next() int {
 	if len(d.hand) == 0 {
-		var cold []int
+		var colds []int
 		for ti, t := range d.m.tenants {
-			if t.hot {
+			switch t.kind {
+			case hot:
 				d.hand = append(d.hand, ti)
-			} else {
-				cold = append(cold, ti)
+			case cold:
+				colds = append(colds, ti)
 			}
 		}
-		if len(cold) > 0 {
-			d.hand = append(d.hand, cold[d.rng.IntN(len(cold))])
+		if len(colds) > 0 {
+			d.hand = append(d.hand, colds[d.rng.IntN(len(colds))])
 		}
 		d.rng.Shuffle(len(d.hand), func(i, j int) { d.hand[i], d.hand[j] = d.hand[j], d.hand[i] })
 	}
@@ -383,12 +412,12 @@ func (d *daemon) stop() error {
 	}
 }
 
-// warm sends each hot tenant twice in turn and then as concurrent pairs
-// until its key holds two idle Systems — as many as the daemon's two run
-// slots can ask for at once. A pair whose requests do not overlap on the
-// daemon leaves one System, so the pair is repeated, up to warmTries
-// times; otherwise the run would start with one ipc fleet or two by
-// chance, and its memory with it.
+// warm sends each hot tenant twice in turn and then, until its key holds
+// two idle Systems — as many as the daemon's two run slots can ask for
+// at once — concurrent pairs of the key's pair request. A pair whose
+// requests do not overlap on the daemon leaves one System, so the pair
+// is repeated, up to warmTries times; otherwise the run would start with
+// one ipc fleet or two by chance, and its memory with it.
 func warm(c *client) error {
 	const warmTries = 20
 	for ti, t := range hotTenants {
@@ -400,12 +429,8 @@ func warm(c *client) error {
 		}
 		_, key := requestOptions(t.req)
 		idle := fmt.Sprintf("kfserve_pool_idle_systems{key=%q}", key)
+		p := arrival{tenant: c.m.pairs[key]}
 		for try := 0; ; try++ {
-			for _, o := range drive([]arrival{a, a}, conns, c.send) {
-				if o.err != nil {
-					return fmt.Errorf("warming %s: %w", t.name, o.err)
-				}
-			}
 			m, err := c.metrics()
 			if err != nil {
 				return err
@@ -413,8 +438,13 @@ func warm(c *client) error {
 			if m[idle] >= conns {
 				break
 			}
-			if try == warmTries-1 {
+			if try == warmTries {
 				return fmt.Errorf("warming %s: %d concurrent pairs left %v idle Systems, want %d", t.name, warmTries, m[idle], conns)
+			}
+			for _, o := range drive([]arrival{p, p}, conns, c.send) {
+				if o.err != nil {
+					return fmt.Errorf("warming %s: %w", t.name, o.err)
+				}
 			}
 		}
 	}

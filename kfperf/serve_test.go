@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -47,7 +48,7 @@ func TestDriveChargesStallToQueuedRequests(t *testing.T) {
 // operation, against the attempted ones.
 func TestPlantedWrongValueCountsAsFailure(t *testing.T) {
 	ref := &oracle{values: []float64{1, 2, 3}, stats: machine.Stats{Flops: 9, MsgsSent: 4, BytesSent: 32, MsgsRecv: 4}}
-	m := &mix{tenants: []tenant{{name: "t", req: serve.RunRequest{Program: "jacobi", Grid: []int{1}}, hot: true}}, refs: []*oracle{ref}}
+	m := &mix{tenants: []tenant{{name: "t", req: serve.RunRequest{Program: "jacobi", Grid: []int{1}}, kind: hot}}, refs: []*oracle{ref}}
 	var n atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		resp := serve.RunResponse{Values: append([]float64(nil), ref.values...), Stats: ref.stats}
@@ -124,5 +125,32 @@ func TestRungScorePoolsSlices(t *testing.T) {
 	failed[1].err = errors.New("refused")
 	if s := rungScore([][]outcome{quick, failed}); !math.IsInf(s, 1) {
 		t.Errorf("a failed request scored %v, want +Inf", s)
+	}
+}
+
+// Every hot pool key has a pair request on the same key, which warm
+// sends, and the dealer never deals one.
+func TestPairRequestsShareKeyAndAreNotDealt(t *testing.T) {
+	m, err := newMix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hotTenants {
+		_, key := requestOptions(h.req)
+		pi, ok := m.pairs[key]
+		if !ok {
+			t.Fatalf("hot tenant %s has no pair request", h.name)
+		}
+		if p := m.tenants[pi]; p.kind != pair {
+			t.Errorf("pair request of %s is tenant %s of kind %d", h.name, p.name, p.kind)
+		} else if _, pk := requestOptions(p.req); pk != key {
+			t.Errorf("pair request of %s is on key %s, want %s", h.name, pk, key)
+		}
+	}
+	deal := m.dealer(rand.New(rand.NewPCG(1, 2)))
+	for i := 0; i < 500; i++ {
+		if ti := deal.next(); m.tenants[ti].kind == pair {
+			t.Fatalf("dealt pair request %s", m.tenants[ti].name)
+		}
 	}
 }
