@@ -37,11 +37,9 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
-	"repro/internal/darray"
 	"repro/internal/kf"
 	"repro/internal/machine"
 	"repro/internal/topology"
@@ -52,14 +50,13 @@ import (
 // paper's single machine declaration, from which the runtime derives
 // everything else.
 //
-// Run and RunProgram are the system's execution surface: they apply the
-// run-shaping options (DirectScheduling's derivation mode, the per-run
-// trace reset) around every execution. The exported Machine and Procs
+// Run and RunProgram are the system's execution surface: they reset the
+// trace recorder before every execution. The exported Machine and Procs
 // fields are the low-level handles for driver wrappers that predate
 // Programs (jacobi.KF1(sys.Machine, sys.Procs, ...)); code driving the
-// Machine directly bypasses the run-shaping options by construction, so
-// systems declared with DirectScheduling or Trace should be executed
-// through Run/RunProgram.
+// Machine directly skips that reset, so systems declared with Trace
+// should be executed through Run/RunProgram. DirectScheduling is the
+// machine's own flag and applies however the machine is driven.
 type System struct {
 	// Machine is the simulated multicomputer.
 	Machine *machine.Machine
@@ -70,7 +67,6 @@ type System struct {
 
 	transport string
 	executor  string
-	direct    bool
 	runs      atomic.Int64 // completed runs; see Warmed
 }
 
@@ -244,8 +240,9 @@ func Trace() Option {
 // directly on every call instead of replaying compiled schedules — the
 // verification mode of the inspector/executor split. Runs on a direct
 // system must be bit-identical to scheduled ones; Compare a system with
-// and without this option to check. The mode is applied by Run and
-// RunProgram; driving sys.Machine directly bypasses it (see System).
+// and without this option to check. The mode is the machine's
+// DirectScheduling flag, so it holds however the machine is driven, and
+// registered programs on ipc carry it into the workers.
 func DirectScheduling() Option {
 	return func(cfg *settings) error {
 		cfg.direct = true
@@ -336,8 +333,8 @@ func NewSystem(opts ...Option) (*System, error) {
 		Procs:     g,
 		transport: cfg.transport,
 		executor:  m.ExecutorName(),
-		direct:    cfg.direct,
 	}
+	m.DirectScheduling = cfg.direct
 	if cfg.trace {
 		sys.Trace = trace.NewRecorder(g.Size())
 		m.SetSink(sys.Trace)
@@ -427,8 +424,6 @@ func (s *System) ChaosTotalReport() (chaos.Report, bool) {
 // counters, the trace recorder (when attached) is reset at the start, so
 // a System runs any number of programs in sequence, each cleanly.
 func (s *System) Run(body func(c *kf.Ctx) error) (float64, error) {
-	restore := s.applyScheduling()
-	defer restore()
 	if s.Trace != nil {
 		s.Trace.Reset()
 	}
@@ -437,28 +432,6 @@ func (s *System) Run(body func(c *kf.Ctx) error) (float64, error) {
 	}
 	s.runs.Add(1)
 	return s.Machine.Elapsed(), nil
-}
-
-// schedMu guards the darray scheduling switch, which is process-global: a
-// DirectScheduling run holds the write side for its whole duration, any
-// other run the read side, so concurrent systems never observe (or
-// clobber) another run's scheduling mode.
-var schedMu sync.RWMutex
-
-// applyScheduling flips the darray layer into direct derivation for the
-// duration of a run on a DirectScheduling system, returning the restore
-// function. Scheduled systems share the read lock and touch nothing.
-func (s *System) applyScheduling() func() {
-	if !s.direct {
-		schedMu.RLock()
-		return schedMu.RUnlock
-	}
-	schedMu.Lock()
-	prev := darray.SetScheduling(false)
-	return func() {
-		darray.SetScheduling(prev)
-		schedMu.Unlock()
-	}
 }
 
 // Stats returns the aggregate machine counters from the last Run.

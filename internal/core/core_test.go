@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/darray"
@@ -75,7 +74,7 @@ func TestEveryOptionTogether(t *testing.T) {
 	if sys.Trace == nil {
 		t.Error("Trace option not applied")
 	}
-	if !sys.direct {
+	if !sys.Machine.DirectScheduling {
 		t.Error("DirectScheduling option not applied")
 	}
 }
@@ -375,43 +374,6 @@ func TestDirectSchedulingBitIdentical(t *testing.T) {
 	}
 	if !cmp.Identical || !cmp.TimesIdentical {
 		t.Errorf("direct derivation must be bit-identical to schedule replay: %+v", cmp)
-	}
-	// The global scheduling switch must be restored after the run.
-	if prev := darray.SetScheduling(true); !prev {
-		t.Error("DirectScheduling leaked the global scheduling switch")
-	}
-}
-
-func TestDirectSchedulingConcurrentRuns(t *testing.T) {
-	// The scheduling switch is process-global; direct runs must be
-	// serialized against scheduled ones so concurrent systems — the
-	// natural use of declare-once Programs — neither race on it nor
-	// leave the process stuck in direct mode.
-	prog := shiftProgram(16, 0)
-	mk := func(opts ...Option) *System {
-		sys, err := NewSystem(append([]Option{Grid(4), Cost(machine.ZeroComm())}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	direct := mk(DirectScheduling())
-	sched := mk()
-	var wg sync.WaitGroup
-	var errs [2]error
-	for round := 0; round < 10; round++ {
-		wg.Add(2)
-		go func() { defer wg.Done(); _, errs[0] = direct.RunProgram(prog) }()
-		go func() { defer wg.Done(); _, errs[1] = sched.RunProgram(prog) }()
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if prev := darray.SetScheduling(true); !prev {
-		t.Error("concurrent direct/scheduled runs left the process in direct mode")
 	}
 }
 

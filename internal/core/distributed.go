@@ -18,23 +18,24 @@ import (
 // execute inside the worker processes instead of the coordinator. The
 // coordinator serializes everything a worker needs to rebuild the run — the
 // program's registry key and args, the grid shape, the federation's node
-// count, the executor name and the full cost model — into a runSpec, the
-// transport ships it (machine.RunDistributed), and each worker's execution
-// hook (buildWorkerRun below) constructs the identical sub-machine over its
-// node's rank window. Per-rank outcomes come back as opaque records that
-// runDistributed reassembles into exactly the Run a coordinator-side
-// execution would have produced: values concatenated in rank order, stats
-// summed in rank order, elapsed times as maxima, censuses from the
-// transport's link counters — bit-identical, because the Kahn-network
-// determinism that makes transports interchangeable makes processes
-// interchangeable too.
+// count, the executor name, the scheduling mode and the full cost model —
+// into a runSpec, the transport ships it (machine.RunDistributed), and each
+// worker's execution hook (buildWorkerRun below) constructs the identical
+// sub-machine over its node's rank window. Per-rank outcomes come back as
+// opaque records that runDistributed reassembles into exactly the Run a
+// coordinator-side execution would have produced: values concatenated in
+// rank order, stats summed in rank order, elapsed times as maxima,
+// censuses from the transport's link counters — bit-identical, because the
+// Kahn-network determinism that makes transports interchangeable makes
+// processes interchangeable too.
 //
 // Systems that shape the run coordinator-side keep the relay path: Trace
-// needs every event in one process, DirectScheduling flips a process-global
-// mode the workers cannot see, and a chaos-wrapped transport injects faults
-// above the wire (the scenario would have to replicate into every worker to
-// mean the same thing). Programs built literally (not via BuildProgram)
-// have no registry identity to ship and also run coordinator-side.
+// needs every event in one process, and a chaos-wrapped transport injects
+// faults above the wire (the scenario would have to replicate into every
+// worker to mean the same thing). Programs built literally (not via
+// BuildProgram) have no registry identity to ship and also run
+// coordinator-side. DirectScheduling is per-machine state and ships in the
+// spec.
 
 // specLink is one directed inter-node link override in a serialized cost
 // model.
@@ -98,6 +99,7 @@ type runSpec struct {
 	Shape    []int     `json:"shape"`
 	Nodes    int       `json:"nodes"`
 	Executor string    `json:"executor,omitempty"`
+	Direct   bool      `json:"direct,omitempty"`
 	Cost     specCost  `json:"cost"`
 }
 
@@ -117,7 +119,7 @@ func bitsI64(f float64) int64 { return int64(math.Float64bits(f)) }
 // chaos wrapper (or any other shaping layer) falls through to the relay
 // path.
 func (s *System) distributedTransport(p *Program) *machine.IPCTransport {
-	if p.key == "" || s.Trace != nil || s.direct || !machine.WorkerExecEnabled() {
+	if p.key == "" || s.Trace != nil || !machine.WorkerExecEnabled() {
 		return nil
 	}
 	t, ok := s.Machine.Transport().(*machine.IPCTransport)
@@ -154,6 +156,7 @@ func (s *System) runDistributed(p *Program, t *machine.IPCTransport) (Run, error
 		Shape:    s.Procs.Shape(),
 		Nodes:    t.Nodes(),
 		Executor: s.executor,
+		Direct:   s.Machine.DirectScheduling,
 		Cost:     encodeCost(s.Machine.Cost()),
 	}
 	raw, err := json.Marshal(spec)
@@ -266,7 +269,8 @@ func (r *workerRun) Execute() []machine.RankResult {
 
 // workerRunCache keeps recently built sub-machines warm inside a worker
 // process. The raw spec bytes are the cache key — they carry everything
-// that shaped the build (program, args, shape, nodes, executor, cost), so
+// that shaped the build (program, args, shape, nodes, executor, scheduling
+// mode, cost), so
 // equal bytes mean an interchangeable sub-machine; the node number keeps
 // in-process worker fleets from colliding. A cached hit skips program
 // construction, grid and transport setup and machine allocation, which is
@@ -351,6 +355,7 @@ func buildWorkerRun(h *machine.WorkerHost, raw []byte) (machine.WorkerRun, error
 		return nil, err
 	}
 	m := machine.NewWithTransport(wt, spec.Cost.model())
+	m.DirectScheduling = spec.Direct
 	if spec.Executor != "" {
 		ex, err := machine.NewExecutorByName(spec.Executor)
 		if err != nil {

@@ -154,8 +154,6 @@ func (s *System) RunProgram(p *Program) (Run, error) {
 		return s.runDistributed(p, t)
 	}
 	outs := make([]Output, s.Procs.Size())
-	restore := s.applyScheduling()
-	defer restore()
 	if s.Trace != nil {
 		s.Trace.Reset()
 	}

@@ -38,7 +38,7 @@ func chaosScenario(seed int64) chaos.Scenario {
 
 // captureChaosRun executes prog on a fresh chaos:shared machine under the
 // scenario and records the same observables as captureRun.
-func captureChaosRun(t *testing.T, n int, sc chaos.Scenario, prog func(p *machine.Proc) []float64) capture {
+func captureChaosRun(t *testing.T, n int, sc chaos.Scenario, direct bool, prog func(p *machine.Proc) []float64) capture {
 	t.Helper()
 	tr, err := machine.NewTransportByName("chaos:shared", n, 1)
 	if err != nil {
@@ -49,6 +49,7 @@ func captureChaosRun(t *testing.T, n int, sc chaos.Scenario, prog func(p *machin
 		t.Fatal(err)
 	}
 	m := machine.NewWithTransport(ct, machine.IPSC2())
+	m.DirectScheduling = direct
 	c := capture{
 		clocks: make([]float64, n),
 		stats:  make([]machine.Stats, n),
@@ -81,12 +82,9 @@ func TestRandomizedChaosEquivalence(t *testing.T) {
 		sc := chaosScenario(int64(1000 + ci))
 		prog := func(p *machine.Proc) []float64 { return c.run(p, g) }
 
-		prev := SetScheduling(false)
-		faultFree := captureRun(t, n, prog)
-		direct := captureChaosRun(t, n, sc, prog)
-		SetScheduling(true)
-		replay := captureChaosRun(t, n, sc, prog)
-		SetScheduling(prev)
+		faultFree := captureRun(t, n, true, prog)
+		direct := captureChaosRun(t, n, sc, true, prog)
+		replay := captureChaosRun(t, n, sc, false, prog)
 
 		for rk := 0; rk < n; rk++ {
 			// Invariant 1: faults never change values (clocks honestly move,

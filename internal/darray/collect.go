@@ -347,7 +347,7 @@ func (a *Array) PackRuns(runs []sched.Run, dst []float64) int {
 // steady-state allocation).
 func (a *Array) GatherTo(sc machine.Scope, rootIdx int) []float64 {
 	a.mustParticipate()
-	if scheduling {
+	if scheduled(a.st.p) {
 		return a.gatherToScheduled(sc, rootIdx)
 	}
 	return a.gatherToDirect(sc, rootIdx)
@@ -506,7 +506,7 @@ func moveContents(sc machine.Scope, src, dst *Array) {
 			panic(fmt.Sprintf("darray: redistribute extent mismatch in dim %d: %d vs %d", d, src.Extent(d), dst.Extent(d)))
 		}
 	}
-	if scheduling {
+	if scheduled(src.st.p) {
 		s := moveScheduleFor(src, dst)
 		var srcData, dstData []float64
 		if src.st.member {

@@ -215,7 +215,7 @@ func (a *Array) planeSize(sd int) int {
 // back to its pool.
 func (a *Array) ExchangeHalo(sc machine.Scope, dims ...int) {
 	a.mustParticipate()
-	if scheduling {
+	if scheduled(a.st.p) {
 		a.haloSchedule(dims).Execute(a.st.p, sc, a.st.data, a.st.data)
 		return
 	}

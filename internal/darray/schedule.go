@@ -9,25 +9,16 @@ import (
 	"repro/internal/sched"
 )
 
-// scheduling selects between the two implementations of every collective:
+// scheduled selects between the two implementations of every collective:
 // compile a communication schedule once and replay it (the
 // inspector/executor path a KF1 compiler would generate for iterative
 // loops), or derive the communication inline on every call (the reference
 // path the schedules were compiled from). The two produce bit-identical
 // traffic — same messages, same order, same bytes, same virtual times —
 // which the equivalence suite and the 64-processor scaling experiment
-// verify by flipping this switch. Production code leaves it on.
-var scheduling = true
-
-// SetScheduling enables or disables compiled communication schedules,
-// returning the previous setting. It must only be flipped outside
-// Machine.Run (the flag is read concurrently by every simulated
-// processor); it exists for verification, not for tuning.
-func SetScheduling(on bool) bool {
-	prev := scheduling
-	scheduling = on
-	return prev
-}
+// verify by flipping the machine's DirectScheduling flag. Production code
+// leaves it off, so collectives replay.
+func scheduled(p *machine.Proc) bool { return !p.Machine().DirectScheduling }
 
 // appendRun extends runs with storage offset off, merging with the last run
 // when adjacent — the generic run-coalescing step every inspector uses.

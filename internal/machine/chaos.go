@@ -34,9 +34,10 @@ type DownReasoner interface {
 // stallProber is the optional transport extension the chaos layer prefers
 // for stall confirmation: evaluate the full CheckStalled condition — every
 // live processor parked with no matching pending message — WITHOUT
-// declaring the transport down. The bundled transports implement it via
-// stallCheck(declare=false); for other bases the chaos layer falls back to
-// the coordinator's (weaker, lock-free) confirmation.
+// declaring the transport down. The bundled transports implement it with
+// the mailbox core's stalled(false), behind the distributed probe on ipc;
+// for other bases the chaos layer falls back to the coordinator's
+// (weaker, lock-free) confirmation.
 type stallProber interface {
 	probeStalled() bool
 }

@@ -3,17 +3,17 @@ package machine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // FederatedTransport partitions a machine's processors into nodes of equal
 // size — the NUMA-style multi-machine federation past the reach of one
-// shared mailbox array. Intra-node messages go through the node's own
-// mailbox (one lock per node, private to its processors); inter-node
-// messages are routed through a per-ordered-node-pair link that serializes
-// delivery, so each directed node pair behaves like one FIFO network
-// channel and carries byte/message counters — the numbers a performance
-// estimator needs to price node interconnect traffic.
+// shared mailbox array. It is the shared transport plus node links:
+// intra-node messages go straight to the receiver's mailbox (one lock per
+// receiver, as on SharedTransport); inter-node messages are delivered under
+// a per-ordered-node-pair link lock that serializes them, so each directed
+// node pair behaves like one FIFO network channel and carries byte/message
+// counters — the numbers a performance estimator needs to price node
+// interconnect traffic.
 //
 // Under a flat cost model a program's clocks, statistics and results are
 // bit-identical on a FederatedTransport and a SharedTransport; the
@@ -24,105 +24,78 @@ import (
 // identical while virtual times honestly diverge — the NUMA effect the
 // paper's performance-estimation story needs the clock to see.
 type FederatedTransport struct {
-	n       int
+	hostBoxes
+	nodeLinks
+}
+
+// nodeLinks is the node partition of a multi-node transport and the
+// counted directed links between its nodes, shared by the federated and
+// ipc transports.
+type nodeLinks struct {
 	nnodes  int
 	perNode int
-	nodes   []nodeBox
 	links   []link // directed node pairs, row-major [src*nnodes+dst]
-	coord   Coordinator
-	down    atomic.Bool
-	bar     hostBarrier
 }
 
-// fedKey matches receives to sends inside one node's shared mailbox:
-// point-to-point by destination rank, source rank and tag (the same
-// (src, tag) stream discipline as the shared transport, with the receiving
-// endpoint made explicit because the mailbox is shared by the node).
-type fedKey struct {
-	dst int
-	src int
-	tag Tag
-}
-
-// nodeBox is one node's incoming message state: a single queue map guarded
-// by one lock for all of the node's processors, with one condition variable
-// per local processor for targeted wakeups.
-type nodeBox struct {
-	mu     sync.Mutex
-	queues map[fedKey][]message
-	spare  [][]message
-	// Per local processor (index = rank - node*perNode): the stream the
-	// processor is parked on, if any.
-	conds   []*sync.Cond
-	awaits  []fedKey
-	waiting []bool
-}
-
-// link is one directed inter-node channel. Delivery holds the link lock,
-// so messages crossing the same node pair are handed to the destination
-// node in send order — an honest stand-in for a FIFO network link — and the
-// counters census every byte that would cross the interconnect.
+// link is one directed inter-node channel. Its counters census every byte
+// that would cross the interconnect; the federated transport also holds
+// the lock across delivery, so messages crossing the same node pair are
+// handed to the destination in send order — an honest stand-in for a FIFO
+// network link.
 type link struct {
 	mu    sync.Mutex
 	msgs  int64
 	bytes int64
 }
 
-// NewFederatedTransport returns a transport with n endpoints partitioned
-// into nnodes equal nodes (nnodes must divide n). Node k owns ranks
-// [k*n/nnodes, (k+1)*n/nnodes).
-func NewFederatedTransport(n, nnodes int) *FederatedTransport {
-	if n <= 0 {
-		panic(fmt.Sprintf("machine: transport endpoint count must be positive, got %d", n))
-	}
+// init partitions n processors into nnodes equal nodes.
+func (nl *nodeLinks) init(n, nnodes int) {
 	if nnodes <= 0 || n%nnodes != 0 {
-		panic(fmt.Sprintf("machine: federation of %d processors needs a positive node count dividing it, got %d", n, nnodes))
+		panic(fmt.Sprintf("machine: a federation of %d processors needs a positive node count dividing it, got %d", n, nnodes))
 	}
-	t := &FederatedTransport{
-		n:       n,
-		nnodes:  nnodes,
-		perNode: n / nnodes,
-		nodes:   make([]nodeBox, nnodes),
-		links:   make([]link, nnodes*nnodes),
-	}
-	for i := range t.nodes {
-		nb := &t.nodes[i]
-		nb.queues = make(map[fedKey][]message)
-		nb.conds = make([]*sync.Cond, t.perNode)
-		nb.awaits = make([]fedKey, t.perNode)
-		nb.waiting = make([]bool, t.perNode)
-		for j := range nb.conds {
-			nb.conds[j] = sync.NewCond(&nb.mu)
-		}
-	}
-	t.bar.init(n)
-	return t
+	nl.nnodes = nnodes
+	nl.perNode = n / nnodes
+	nl.links = make([]link, nnodes*nnodes)
 }
 
-// Size returns the number of endpoints.
-func (t *FederatedTransport) Size() int { return t.n }
-
-// Nodes returns the number of federation nodes.
-func (t *FederatedTransport) Nodes() int { return t.nnodes }
+// Nodes returns the number of nodes.
+func (nl *nodeLinks) Nodes() int { return nl.nnodes }
 
 // ProcsPerNode returns the number of processors on each node.
-func (t *FederatedTransport) ProcsPerNode() int { return t.perNode }
+func (nl *nodeLinks) ProcsPerNode() int { return nl.perNode }
 
 // NodeOf returns the node owning the given rank.
-func (t *FederatedTransport) NodeOf(rank int) int { return rank / t.perNode }
+func (nl *nodeLinks) NodeOf(rank int) int { return rank / nl.perNode }
 
-// Bind installs the machine's coordinator (nil for standalone use).
-func (t *FederatedTransport) Bind(c Coordinator) { t.coord = c }
+// MessageTime prices a message by the link it crosses: intra-node messages
+// pay the flat cost, inter-node messages pay the cost model's per-link
+// price. With a flat cost model (no InterNode table) every pair prices
+// identically to SharedTransport — the degenerate case the conformance
+// suite's bit-identical-times battery pins — and every node-partitioned
+// transport prices identically to every other, which keeps virtual times
+// bit-identical across federated, ipc and the ipc workers.
+func (nl *nodeLinks) MessageTime(cost CostModel, src, dst, b int) float64 {
+	return cost.LinkMessageTime(src/nl.perNode, dst/nl.perNode, b)
+}
 
-// Down reports whether the transport has been aborted since the last Reset.
-func (t *FederatedTransport) Down() bool { return t.down.Load() }
+// linkFor returns the directed link from node sn to node dn.
+func (nl *nodeLinks) linkFor(sn, dn int) *link { return &nl.links[sn*nl.nnodes+dn] }
+
+// count adds msgs messages of bytes total payload bytes to the link's
+// counters.
+func (l *link) count(msgs, bytes int64) {
+	l.mu.Lock()
+	l.msgs += msgs
+	l.bytes += bytes
+	l.mu.Unlock()
+}
 
 // LinkTraffic returns the message and byte counts carried by the directed
 // link from node src to node dst since the last Reset. Counts are a
 // deterministic function of the program (every inter-node message crosses
 // exactly one link), so they can be asserted exactly.
-func (t *FederatedTransport) LinkTraffic(src, dst int) (msgs, bytes int64) {
-	l := &t.links[src*t.nnodes+dst]
+func (nl *nodeLinks) LinkTraffic(src, dst int) (msgs, bytes int64) {
+	l := nl.linkFor(src, dst)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.msgs, l.bytes
@@ -130,9 +103,9 @@ func (t *FederatedTransport) LinkTraffic(src, dst int) (msgs, bytes int64) {
 
 // InterNodeTraffic returns the total message and byte counts that crossed
 // node boundaries since the last Reset.
-func (t *FederatedTransport) InterNodeTraffic() (msgs, bytes int64) {
-	for i := range t.links {
-		l := &t.links[i]
+func (nl *nodeLinks) InterNodeTraffic() (msgs, bytes int64) {
+	for i := range nl.links {
+		l := &nl.links[i]
 		l.mu.Lock()
 		msgs += l.msgs
 		bytes += l.bytes
@@ -141,246 +114,48 @@ func (t *FederatedTransport) InterNodeTraffic() (msgs, bytes int64) {
 	return msgs, bytes
 }
 
-// MessageTime prices a message by the link it crosses: intra-node messages
-// pay the flat cost, inter-node messages pay the cost model's per-link
-// price. With a flat cost model (no InterNode table) every pair prices
-// identically to SharedTransport — the degenerate case the conformance
-// suite's bit-identical-times battery pins.
-func (t *FederatedTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
-	return cost.LinkMessageTime(src/t.perNode, dst/t.perNode, b)
+// resetLinks zeroes every link counter, each under its lock, so a
+// concurrent reader (a stress harness, a monitoring goroutine) observes
+// either the old counts or the cleared ones, never a torn mixture.
+func (nl *nodeLinks) resetLinks() {
+	for i := range nl.links {
+		l := &nl.links[i]
+		l.mu.Lock()
+		l.msgs, l.bytes = 0, 0
+		l.mu.Unlock()
+	}
 }
 
-// deliver places the message in dst's node mailbox and wakes dst if it is
-// parked on exactly this stream (through the machine's Parker when a
-// parking engine is driving; see SharedTransport.Send).
-func (t *FederatedTransport) deliver(k fedKey, msg message) {
-	nb := &t.nodes[k.dst/t.perNode]
-	li := k.dst % t.perNode
-	nb.mu.Lock()
-	q, ok := nb.queues[k]
-	if !ok && len(nb.spare) > 0 {
-		q = nb.spare[len(nb.spare)-1]
-		nb.spare = nb.spare[:len(nb.spare)-1]
-	}
-	nb.queues[k] = append(q, msg)
-	if nb.waiting[li] && nb.awaits[li] == k {
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.Wake(k.dst)
-		} else {
-			nb.conds[li].Signal()
-		}
-	}
-	nb.mu.Unlock()
+// NewFederatedTransport returns a transport with n endpoints partitioned
+// into nnodes equal nodes (nnodes must divide n). Node k owns ranks
+// [k*n/nnodes, (k+1)*n/nnodes).
+func NewFederatedTransport(n, nnodes int) *FederatedTransport {
+	t := &FederatedTransport{}
+	t.hostBoxes.init(0, n)
+	t.nodeLinks.init(n, nnodes)
+	return t
 }
 
-// Send routes a message: directly into the destination node's mailbox for
+// Send routes a message: directly into the destination's mailbox for
 // intra-node traffic, through the (srcNode, dstNode) link — counted and
 // order-preserved under the link lock — for inter-node traffic.
 func (t *FederatedTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
-	k := fedKey{dst: dst, src: src, tag: tag}
-	msg := message{data: data, arrival: arrival}
 	sn, dn := src/t.perNode, dst/t.perNode
 	if sn == dn {
-		t.deliver(k, msg)
+		t.deliver(src, dst, tag, data, arrival)
 		return
 	}
-	l := &t.links[sn*t.nnodes+dn]
+	l := t.linkFor(sn, dn)
 	l.mu.Lock()
 	l.msgs++
 	l.bytes += int64(len(data) * wordBytes)
-	t.deliver(k, msg)
+	t.deliver(src, dst, tag, data, arrival)
 	l.mu.Unlock()
 }
 
-// Recv blocks the calling endpoint until a message matching (src, tag) is
-// available in its node's mailbox, then returns it. ok is false if the
-// transport went down while waiting.
-func (t *FederatedTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
-	nb := &t.nodes[dst/t.perNode]
-	li := dst % t.perNode
-	k := fedKey{dst: dst, src: src, tag: tag}
-	nb.mu.Lock()
-	if msg, ok := nb.takeLocked(k); ok {
-		nb.mu.Unlock()
-		return msg.data, msg.arrival, true
-	}
-	if t.down.Load() {
-		nb.mu.Unlock()
-		return nil, 0, false
-	}
-	nb.awaits[li] = k
-	nb.waiting[li] = true
-	nb.mu.Unlock()
-
-	if t.coord != nil {
-		t.coord.Blocked()
-	}
-
-	pk := parkerOf(t.coord)
-	nb.mu.Lock()
-	for {
-		if msg, ok := nb.takeLocked(k); ok {
-			nb.waiting[li] = false
-			nb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return msg.data, msg.arrival, true
-		}
-		if t.down.Load() {
-			nb.waiting[li] = false
-			nb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return nil, 0, false
-		}
-		if pk != nil {
-			nb.mu.Unlock()
-			pk.Park(dst)
-			nb.mu.Lock()
-		} else {
-			nb.conds[li].Wait()
-		}
-	}
-}
-
-// takeLocked removes the oldest message matching k from the node mailbox,
-// recycling drained queue slices. Caller holds nb.mu.
-func (nb *nodeBox) takeLocked(k fedKey) (message, bool) {
-	q := nb.queues[k]
-	if len(q) == 0 {
-		return message{}, false
-	}
-	msg := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = message{}
-	q = q[:len(q)-1]
-	if len(q) == 0 {
-		delete(nb.queues, k)
-		nb.spare = append(nb.spare, q)
-	} else {
-		nb.queues[k] = q
-	}
-	return msg, true
-}
-
-// Barrier parks the calling endpoint until all endpoints arrive.
-func (t *FederatedTransport) Barrier(rank int) bool {
-	if rank < 0 || rank >= t.n {
-		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
-	}
-	return t.bar.await(rank, &t.down, parkerOf(t.coord))
-}
-
-// Reset clears all node mailboxes, waiter state, link counters and the down
-// flag, keeping allocated capacity. Each node and link lock is held while
-// its state is cleared, so a concurrent CheckStalled or link-counter reader
-// (a stress harness, a monitoring goroutine) observes either the old state
-// or the cleared one, never a torn mixture.
+// Reset clears all mailboxes, waiter state, link counters and the down
+// flag, keeping allocated capacity.
 func (t *FederatedTransport) Reset() {
-	for i := range t.nodes {
-		nb := &t.nodes[i]
-		nb.mu.Lock()
-		for k, q := range nb.queues {
-			for j := range q {
-				q[j] = message{}
-			}
-			delete(nb.queues, k)
-			nb.spare = append(nb.spare, q[:0])
-		}
-		for j := range nb.waiting {
-			nb.waiting[j] = false
-			nb.awaits[j] = fedKey{}
-		}
-		nb.mu.Unlock()
-	}
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		l.msgs = 0
-		l.bytes = 0
-		l.mu.Unlock()
-	}
-	t.bar.reset()
-	t.down.Store(false)
-}
-
-// Abort marks the transport down and wakes every blocked receiver.
-func (t *FederatedTransport) Abort() {
-	t.down.Store(true)
-	for i := range t.nodes {
-		nb := &t.nodes[i]
-		nb.mu.Lock()
-		for _, c := range nb.conds {
-			c.Broadcast()
-		}
-		nb.mu.Unlock()
-	}
-	t.bar.wake()
-	if pk := parkerOf(t.coord); pk != nil {
-		pk.WakeAll()
-	}
-}
-
-// CheckStalled takes every node lock (in node order) for a consistent
-// snapshot and flags a deadlock when all live processors are parked with no
-// matching pending message anywhere. See SharedTransport.CheckStalled for
-// the protocol; the federated version differs only in where waiters and
-// queues live.
-func (t *FederatedTransport) CheckStalled() bool { return t.stallCheck(true) }
-
-// probeStalled evaluates the stall condition without declaring it; see
-// SharedTransport.probeStalled.
-func (t *FederatedTransport) probeStalled() bool { return t.stallCheck(false) }
-
-// stallCheck is the shared body of CheckStalled (declare=true) and
-// probeStalled (declare=false).
-func (t *FederatedTransport) stallCheck(declare bool) bool {
-	if t.coord == nil {
-		return false
-	}
-	for i := range t.nodes {
-		t.nodes[i].mu.Lock()
-	}
-	stalled := false
-	if !t.down.Load() {
-		if live := t.coord.ConfirmStall(); live > 0 {
-			waiting := 0
-			canProceed := false
-			for i := range t.nodes {
-				nb := &t.nodes[i]
-				for j, w := range nb.waiting {
-					if !w {
-						continue
-					}
-					waiting++
-					if len(nb.queues[nb.awaits[j]]) > 0 {
-						canProceed = true
-					}
-				}
-			}
-			if waiting >= live && !canProceed {
-				stalled = true
-			}
-		}
-	}
-	if stalled && declare {
-		t.down.Store(true)
-		for i := range t.nodes {
-			for _, c := range t.nodes[i].conds {
-				c.Broadcast()
-			}
-		}
-	}
-	for i := range t.nodes {
-		t.nodes[i].mu.Unlock()
-	}
-	if stalled && declare {
-		t.bar.wake()
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.WakeAll()
-		}
-	}
-	return stalled
+	t.hostBoxes.Reset()
+	t.resetLinks()
 }

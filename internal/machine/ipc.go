@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -78,16 +79,8 @@ type bufPool interface {
 // Workers spawn lazily on the first inter-node send: a transport that never
 // crosses nodes (or is used standalone via Bind(nil)) costs no processes.
 type IPCTransport struct {
-	n       int
-	nnodes  int
-	perNode int
-	boxes   []mailbox
-	links   []link // directed node pairs, row-major [src*nnodes+dst]
-	coord   Coordinator
-	pool    bufPool
-	recheck stallRechecker
-	down    atomic.Bool
-	bar     hostBarrier
+	hostBoxes
+	nodeLinks
 
 	startMu    sync.Mutex // serializes start; guards startDone/startErr/cmds/listenAddr
 	startDone  bool
@@ -103,7 +96,7 @@ type IPCTransport struct {
 	// the read loops and the watcher. execClean records that the previous
 	// distributed run completed cleanly and nothing touched the transport
 	// since — the precondition for folding the next run's fence into its
-	// spec broadcast (see fastFence).
+	// spec broadcast (see RunDistributed).
 	runMu     sync.Mutex
 	execGen   uint64
 	exec      atomic.Pointer[execRun]
@@ -249,54 +242,15 @@ func (t *IPCTransport) flushLoop(cn *ipcConn) {
 // partitioned into nnodes equal nodes (nnodes must divide n). Worker
 // processes spawn on the first inter-node send; Close tears them down.
 func NewIPCTransport(n, nnodes int) *IPCTransport {
-	if n <= 0 {
-		panic(fmt.Sprintf("machine: transport endpoint count must be positive, got %d", n))
-	}
-	if nnodes <= 0 || n%nnodes != 0 {
-		panic(fmt.Sprintf("machine: ipc transport of %d processors needs a positive node count dividing it, got %d", n, nnodes))
-	}
 	t := &IPCTransport{
-		n:       n,
-		nnodes:  nnodes,
-		perNode: n / nnodes,
-		boxes:   make([]mailbox, n),
-		links:   make([]link, nnodes*nnodes),
-		watch:   make(chan struct{}, 1),
-		stopc:   make(chan struct{}),
+		watch: make(chan struct{}, 1),
+		stopc: make(chan struct{}),
 	}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.cond = sync.NewCond(&mb.mu)
-		mb.queues = make(map[msgKey][]message)
-	}
+	t.hostBoxes.init(0, n)
+	t.nodeLinks.init(n, nnodes)
 	t.pcond = sync.NewCond(&t.pmu)
-	t.bar.init(n)
-	t.bar.onRelease = t.announceBarrier
 	return t
 }
-
-// Size returns the number of endpoints.
-func (t *IPCTransport) Size() int { return t.n }
-
-// Nodes returns the number of nodes (worker processes once started).
-func (t *IPCTransport) Nodes() int { return t.nnodes }
-
-// ProcsPerNode returns the number of processors on each node.
-func (t *IPCTransport) ProcsPerNode() int { return t.perNode }
-
-// NodeOf returns the node owning the given rank.
-func (t *IPCTransport) NodeOf(rank int) int { return rank / t.perNode }
-
-// Bind installs the machine's coordinator (nil for standalone use) and
-// picks up its optional pool and stall-recheck capabilities.
-func (t *IPCTransport) Bind(c Coordinator) {
-	t.coord = c
-	t.pool, _ = c.(bufPool)
-	t.recheck, _ = c.(stallRechecker)
-}
-
-// Down reports whether the transport has been aborted since the last Reset.
-func (t *IPCTransport) Down() bool { return t.down.Load() }
 
 // DownReason returns the structured cause of the current down state (a
 // wrapped ErrWorkerLost when a worker process died), or nil.
@@ -320,64 +274,6 @@ func (t *IPCTransport) WorkerPIDs() []int {
 	return pids
 }
 
-// LinkTraffic returns the message and byte counts carried by the directed
-// socket link from node src to node dst since the last Reset.
-func (t *IPCTransport) LinkTraffic(src, dst int) (msgs, bytes int64) {
-	l := &t.links[src*t.nnodes+dst]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.msgs, l.bytes
-}
-
-// InterNodeTraffic returns the total message and byte counts that crossed
-// node boundaries since the last Reset.
-func (t *IPCTransport) InterNodeTraffic() (msgs, bytes int64) {
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		msgs += l.msgs
-		bytes += l.bytes
-		l.mu.Unlock()
-	}
-	return msgs, bytes
-}
-
-// MessageTime prices a message by the node pair it crosses, identically to
-// FederatedTransport: flat cost intra-node, the cost model's per-link price
-// inter-node. Identical pricing is what keeps virtual times bit-identical
-// across federated and ipc for the same program and cost model.
-func (t *IPCTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
-	return cost.LinkMessageTime(src/t.perNode, dst/t.perNode, b)
-}
-
-// acquire supplies payload buffers for decoded Deliver frames from the
-// machine pool when bound, satisfying wire.ReadFrame's hook signature.
-func (t *IPCTransport) acquire(n int) []float64 {
-	if t.pool != nil {
-		return t.pool.acquirePooled(n)
-	}
-	return make([]float64, n)
-}
-
-// deliverLocal places a message in dst's mailbox and wakes dst if it is
-// waiting for exactly this stream — the same delivery step as
-// SharedTransport.Send, shared by the intra-node fast path and the reader
-// goroutines completing an inter-node crossing.
-func (t *IPCTransport) deliverLocal(src, dst int, tag Tag, data []float64, arrival float64) {
-	mb := &t.boxes[dst]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	mb.putLocked(k, message{data: data, arrival: arrival})
-	if mb.waiting && mb.await == k {
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.Wake(dst)
-		} else {
-			mb.cond.Signal()
-		}
-	}
-	mb.mu.Unlock()
-}
-
 // Send routes a message: intra-node traffic goes straight to the mailbox;
 // inter-node traffic is serialized into a Data frame and written to the
 // destination node's worker socket (spawning the workers on first use).
@@ -388,17 +284,13 @@ func (t *IPCTransport) deliverLocal(src, dst int, tag Tag, data []float64, arriv
 func (t *IPCTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
 	sn, dn := src/t.perNode, dst/t.perNode
 	if sn == dn {
-		t.deliverLocal(src, dst, tag, data, arrival)
+		t.deliver(src, dst, tag, data, arrival)
 		return
 	}
 	if err := t.ensureStarted(); err != nil {
 		panic(fmt.Sprintf("machine: ipc transport failed to start workers: %v", err))
 	}
-	l := &t.links[sn*t.nnodes+dn]
-	l.mu.Lock()
-	l.msgs++
-	l.bytes += int64(len(data) * wordBytes)
-	l.mu.Unlock()
+	t.linkFor(sn, dn).count(1, int64(len(data)*wordBytes))
 
 	cn := t.conns[dn]
 	f := wire.Frame{
@@ -416,84 +308,7 @@ func (t *IPCTransport) Send(src, dst int, tag Tag, data []float64, arrival float
 		}
 		return
 	}
-	if t.pool != nil && data != nil {
-		t.pool.releasePooled(data)
-	}
-}
-
-// Recv blocks the calling endpoint until a message matching (src, tag) is
-// available in dst's mailbox; identical protocol to SharedTransport.Recv
-// (reader goroutines feed the same mailboxes the intra-node path uses).
-func (t *IPCTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
-	mb := &t.boxes[dst]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	if msg, ok := mb.takeLocked(k); ok {
-		mb.mu.Unlock()
-		return msg.data, msg.arrival, true
-	}
-	if t.down.Load() {
-		mb.mu.Unlock()
-		return nil, 0, false
-	}
-	mb.await = k
-	mb.waiting = true
-	mb.mu.Unlock()
-
-	if t.coord != nil {
-		t.coord.Blocked()
-	}
-
-	pk := parkerOf(t.coord)
-	mb.mu.Lock()
-	for {
-		if msg, ok := mb.takeLocked(k); ok {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return msg.data, msg.arrival, true
-		}
-		if t.down.Load() {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return nil, 0, false
-		}
-		if pk != nil {
-			mb.mu.Unlock()
-			pk.Park(dst)
-			mb.mu.Lock()
-		} else {
-			mb.cond.Wait()
-		}
-	}
-}
-
-// Barrier parks the calling endpoint until all endpoints arrive; each
-// release is announced to the workers as a Barrier frame (epoch alignment
-// for the node daemons, best effort).
-func (t *IPCTransport) Barrier(rank int) bool {
-	if rank < 0 || rank >= t.n {
-		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
-	}
-	return t.bar.await(rank, &t.down, parkerOf(t.coord))
-}
-
-// announceBarrier broadcasts a released barrier generation to the workers.
-// Called under the barrier lock, so it must never take pmu or declare a
-// failure (an I/O error here will resurface on the next Send or probe).
-func (t *IPCTransport) announceBarrier(gen uint64) {
-	if !t.started.Load() {
-		return
-	}
-	f := wire.Frame{Kind: wire.KindBarrier, Seq: gen}
-	for _, cn := range t.conns {
-		_ = cn.writeCtrl(&f, 0)
-	}
+	t.release(data)
 }
 
 // Reset clears all transport state between runs. With workers live it first
@@ -504,8 +319,9 @@ func (t *IPCTransport) announceBarrier(gen uint64) {
 // in the pipeline and the counters on both sides restart aligned.
 func (t *IPCTransport) Reset() {
 	t.execClean.Store(false)
+	t.probeMu.Lock() // exclude stall probes while counters rewind
+	defer t.probeMu.Unlock()
 	if t.started.Load() {
-		t.probeMu.Lock() // exclude stall probes while counters rewind
 		t.resetGen++
 		gen := t.resetGen
 		f := wire.Frame{Kind: wire.KindReset, Seq: gen}
@@ -526,45 +342,16 @@ func (t *IPCTransport) Reset() {
 				t.pcond.Wait()
 			}
 		}
-		for _, cn := range t.conns {
-			cn.sent.Store(0)
-			cn.delivered.Store(0)
-			cn.ackEpoch, cn.ackRecv, cn.ackFwd, cn.ackFlags = 0, 0, 0, 0
-		}
 		t.pmu.Unlock()
-		t.probeMu.Unlock()
 	}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.reset()
-		mb.mu.Unlock()
-	}
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		l.msgs = 0
-		l.bytes = 0
-		l.mu.Unlock()
-	}
-	t.bar.reset()
-	t.down.Store(false)
-	t.reasonMu.Lock()
-	t.reason = nil
-	t.reasonMu.Unlock()
+	t.rewind()
 }
 
-// fastFence is the no-round-trip fence for back-to-back distributed runs:
-// when the previous run completed cleanly (execClean), every socket is
-// provably drained — each worker wrote nothing after its last RankResult,
-// which the coordinator has read, and the coordinator routed nothing since
-// — so both sides' frame counters can rewind without the Reset exchange.
-// The workers rewind theirs on receiving the RunSpec itself (the spec
-// FIFO-follows any residue, so the cuts align), and the worker-side fence
-// duties (ending the previous run, taking its transport down) move into
-// the RunSpec handler too. Callers hold runMu.
-func (t *IPCTransport) fastFence() {
-	t.probeMu.Lock()
+// rewind zeroes the coordinator's frame counters and clears the mailboxes,
+// barrier, link counters, down flag and down reason — the tail of every
+// fence, once both sides' counters are known to restart aligned. Callers
+// hold probeMu.
+func (t *IPCTransport) rewind() {
 	t.pmu.Lock()
 	for _, cn := range t.conns {
 		cn.sent.Store(0)
@@ -572,22 +359,8 @@ func (t *IPCTransport) fastFence() {
 		cn.ackEpoch, cn.ackRecv, cn.ackFwd, cn.ackFlags = 0, 0, 0, 0
 	}
 	t.pmu.Unlock()
-	t.probeMu.Unlock()
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.reset()
-		mb.mu.Unlock()
-	}
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		l.msgs = 0
-		l.bytes = 0
-		l.mu.Unlock()
-	}
-	t.bar.reset()
-	t.down.Store(false)
+	t.hostBoxes.Reset()
+	t.resetLinks()
 	t.reasonMu.Lock()
 	t.reason = nil
 	t.reasonMu.Unlock()
@@ -596,17 +369,7 @@ func (t *IPCTransport) fastFence() {
 // Abort marks the transport down and wakes every blocked receiver, barrier
 // waiter, probe waiter and parked rank; workers are notified best-effort.
 func (t *IPCTransport) Abort() {
-	t.down.Store(true)
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	}
-	t.bar.wake()
-	if pk := parkerOf(t.coord); pk != nil {
-		pk.WakeAll()
-	}
+	t.hostBoxes.Abort()
 	if t.started.Load() {
 		f := wire.Frame{Kind: wire.KindAbort}
 		for _, cn := range t.conns {
@@ -632,7 +395,13 @@ func (t *IPCTransport) inFlight() uint64 {
 
 // CheckStalled decides whether the machine has deadlocked; see stalledCheck
 // for the distributed protocol.
-func (t *IPCTransport) CheckStalled() bool { return t.stalledCheck(true) }
+func (t *IPCTransport) CheckStalled() bool {
+	if !t.stalledCheck(true) {
+		return false
+	}
+	t.bar.wake()
+	return true
+}
 
 // probeStalled evaluates the stall condition without declaring it — the
 // chaos layer's non-destructive confirmation hook.
@@ -666,31 +435,30 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 		return false
 	}
 	if !t.started.Load() {
-		return t.localStall(declare)
+		return t.stalled(declare)
 	}
 	if t.inFlight() != 0 {
 		return false
 	}
 	t.probeMu.Lock()
 	defer t.probeMu.Unlock()
+	return t.stableCut(true) && t.stalled(declare)
+}
+
+// stableCut runs the two probe rounds both stall verdicts rest on and
+// reports whether they produced identical quiescent snapshots (left in
+// snap1 and snap2). With local set, the coordinator's own mailboxes must
+// also be stalled between the rounds — the relay-mode verdict, where the
+// ranks block here; in execution mode they block in the workers, whose
+// verdicts ride in the snapshots' status flags. Callers hold probeMu.
+func (t *IPCTransport) stableCut(local bool) bool {
 	var ok bool
 	t.snap1, ok = t.probeSnapshot(t.snap1[:0])
-	if !ok {
-		return false
-	}
-	if !t.localStall(false) {
+	if !ok || (local && !t.stalled(false)) {
 		return false
 	}
 	t.snap2, ok = t.probeSnapshot(t.snap2[:0])
-	if !ok || len(t.snap1) != len(t.snap2) {
-		return false
-	}
-	for i := range t.snap1 {
-		if t.snap1[i] != t.snap2[i] {
-			return false
-		}
-	}
-	return t.localStall(declare)
+	return ok && slices.Equal(t.snap1, t.snap2)
 }
 
 // probeSnapshot runs one probe round: a Probe frame to every worker, a wait
@@ -737,50 +505,6 @@ func (t *IPCTransport) probeSnapshot(dst []uint64) ([]uint64, bool) {
 	}
 	t.pmu.Unlock()
 	return dst, quiescent
-}
-
-// localStall is the in-process stall snapshot over the coordinator's
-// mailboxes — the same protocol as SharedTransport.stallCheck.
-func (t *IPCTransport) localStall(declare bool) bool {
-	for i := range t.boxes {
-		t.boxes[i].mu.Lock()
-	}
-	stalled := false
-	if !t.down.Load() {
-		if live := t.coord.ConfirmStall(); live > 0 {
-			waiting := 0
-			canProceed := false
-			for i := range t.boxes {
-				mb := &t.boxes[i]
-				if !mb.waiting {
-					continue
-				}
-				waiting++
-				if len(mb.queues[mb.await]) > 0 {
-					canProceed = true
-				}
-			}
-			if waiting >= live && !canProceed {
-				stalled = true
-			}
-		}
-	}
-	if stalled && declare {
-		t.down.Store(true)
-		for i := range t.boxes {
-			t.boxes[i].cond.Broadcast()
-		}
-	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Unlock()
-	}
-	if stalled && declare {
-		t.bar.wake()
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.WakeAll()
-		}
-	}
-	return stalled
 }
 
 // SetListenAddr selects an explicit TCP address (host:port, port 0 for
@@ -972,11 +696,6 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 	var prefix [4]byte
 	var body, rbuf []byte
 	var f wire.Frame
-	release := func(p []float64) {
-		if t.pool != nil && p != nil {
-			t.pool.releasePooled(p)
-		}
-	}
 	for {
 		if _, err := io.ReadFull(br, prefix[:]); err != nil {
 			if !t.closed.Load() {
@@ -1012,7 +731,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 			}
 			src := int(int32(binary.LittleEndian.Uint32(b[1:5])))
 			dst := int(int32(binary.LittleEndian.Uint32(b[5:9])))
-			if src < 0 || src >= t.n || src/t.perNode != cn.node || dst < 0 || dst >= t.n || dst/t.perNode == cn.node {
+			if src < 0 || src >= t.Size() || src/t.perNode != cn.node || dst < 0 || dst >= t.Size() || dst/t.perNode == cn.node {
 				t.workerFailed(cn, fmt.Errorf("misrouted data frame (src=%d, dst=%d) from node %d", src, dst, cn.node))
 				return
 			}
@@ -1021,11 +740,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 			// and the messages' summed payload bytes in Tag (see the
 			// worker's pendBatch).
 			dn := dst / t.perNode
-			l := &t.links[cn.node*t.nnodes+dn]
-			l.mu.Lock()
-			l.msgs += int64(binary.LittleEndian.Uint64(b[33:41]))
-			l.bytes += int64(binary.LittleEndian.Uint64(b[9:17]))
-			l.mu.Unlock()
+			t.linkFor(cn.node, dn).count(int64(binary.LittleEndian.Uint64(b[33:41])), int64(binary.LittleEndian.Uint64(b[9:17])))
 			cnDst := t.conns[dn]
 			cnDst.wmu.Lock()
 			binary.LittleEndian.PutUint64(b[17:25], cnDst.sent.Add(1))
@@ -1056,7 +771,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 		}
 		switch f.Kind {
 		case wire.KindDeliver:
-			t.deliverLocal(int(f.Src), int(f.Dst), Tag(f.Tag), f.Payload, f.Arrival)
+			t.deliver(int(f.Src), int(f.Dst), Tag(f.Tag), f.Payload, f.Arrival)
 			cn.delivered.Add(1)
 			if t.inFlight() == 0 {
 				// The pipeline just drained: whoever ran a stall check
@@ -1072,16 +787,16 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 			// straight to executing it.
 			er := t.exec.Load()
 			if er == nil || f.Seq != er.gen || f.A == 0 {
-				release(f.Payload)
+				t.release(f.Payload)
 				break // straggler from a fenced run
 			}
 			text, _ := wire.UnpackBytes(f.Payload, int(f.B))
-			release(f.Payload)
+			t.release(f.Payload)
 			er.failWith(fmt.Errorf("machine: ipc node %d rejected run spec: %s", cn.node, text))
 		case wire.KindRankResult:
 			er := t.exec.Load()
 			if er == nil || f.Seq != er.gen {
-				release(f.Payload)
+				t.release(f.Payload)
 				break // straggler from a fenced or abandoned run
 			}
 			// One frame carries all (or a maxResultBatchWords-bounded span
@@ -1092,7 +807,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 			for rec := uint64(0); rec < f.A; rec++ {
 				if len(p) < 4 {
 					er.mu.Unlock()
-					release(f.Payload)
+					t.release(f.Payload)
 					t.workerFailed(cn, fmt.Errorf("rank result batch truncated (node %d)", cn.node))
 					return
 				}
@@ -1103,13 +818,13 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 				errWords := (errLen + 7) / 8
 				if plen > uint64(len(p)-4) || errWords > uint64(len(p)-4)-plen {
 					er.mu.Unlock()
-					release(f.Payload)
+					t.release(f.Payload)
 					t.workerFailed(cn, fmt.Errorf("rank result record overruns batch (node %d)", cn.node))
 					return
 				}
-				if rank < 0 || rank >= t.n || rank/t.perNode != cn.node {
+				if rank < 0 || rank >= t.Size() || rank/t.perNode != cn.node {
 					er.mu.Unlock()
-					release(f.Payload)
+					t.release(f.Payload)
 					t.workerFailed(cn, fmt.Errorf("rank result for rank %d from node %d", rank, cn.node))
 					return
 				}
@@ -1118,7 +833,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 					b, err := wire.UnpackBytes(p[4+plen:4+plen+errWords], int(errLen))
 					if err != nil {
 						er.mu.Unlock()
-						release(f.Payload)
+						t.release(f.Payload)
 						t.workerFailed(cn, fmt.Errorf("rank result from node %d: %v", cn.node, err))
 						return
 					}
@@ -1135,7 +850,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 				p = p[4+plen+errWords:]
 			}
 			er.mu.Unlock()
-			release(f.Payload)
+			t.release(f.Payload)
 			if complete {
 				close(er.done)
 			} else if er.hint.Load() {

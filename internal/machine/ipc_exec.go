@@ -93,11 +93,19 @@ func (t *IPCTransport) RunDistributed(spec []byte) ([]RankResult, error) {
 	}
 	// The fence: stale frames drained, counters zeroed on both sides, any
 	// leftover run from a failed predecessor joined and discarded. After a
-	// clean run the sockets are already drained and the fence needs no
-	// round trip (fastFence); anything else — first run, failed run, relay
-	// traffic in between — pays for the full Reset exchange.
+	// clean run (execClean) every socket is provably drained — each worker
+	// wrote nothing after its last RankResult, which the coordinator has
+	// read, and the coordinator routed nothing since — so the fence needs
+	// no round trip: the workers rewind their counters on receiving the
+	// RunSpec itself (the spec FIFO-follows any residue, so the cuts
+	// align), and the worker-side fence duties (ending the previous run,
+	// taking its transport down) move into the RunSpec handler too.
+	// Anything else — first run, failed run, relay traffic in between —
+	// pays for the full Reset exchange.
 	if t.execClean.CompareAndSwap(true, false) {
-		t.fastFence()
+		t.probeMu.Lock()
+		t.rewind()
+		t.probeMu.Unlock()
 	} else {
 		t.Reset()
 	}
@@ -105,8 +113,8 @@ func (t *IPCTransport) RunDistributed(spec []byte) ([]RankResult, error) {
 	t.execGen++
 	er := &execRun{
 		gen:     t.execGen,
-		results: make([]RankResult, t.n),
-		got:     make([]bool, t.n),
+		results: make([]RankResult, t.Size()),
+		got:     make([]bool, t.Size()),
 		barArr:  make(map[uint64]int),
 		done:    make(chan struct{}),
 		fail:    make(chan struct{}),
@@ -178,22 +186,9 @@ func (t *IPCTransport) execProbe(er *execRun) {
 		return
 	}
 	t.probeMu.Lock()
-	var ok bool
-	t.snap1, ok = t.probeSnapshot(t.snap1[:0])
-	if !ok {
+	if !t.stableCut(false) {
 		t.probeMu.Unlock()
 		return
-	}
-	t.snap2, ok = t.probeSnapshot(t.snap2[:0])
-	if !ok || len(t.snap1) != len(t.snap2) {
-		t.probeMu.Unlock()
-		return
-	}
-	for i := range t.snap1 {
-		if t.snap1[i] != t.snap2[i] {
-			t.probeMu.Unlock()
-			return
-		}
 	}
 	// Five values per connection; flags are the fifth (see probeSnapshot).
 	anyStalled, allSettled := false, true

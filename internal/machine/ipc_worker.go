@@ -236,7 +236,6 @@ type ipcWorker struct {
 	pend     []pendBatch // per-destination-node queued sends, under wmu (index = node)
 
 	rxData uint64 // Data frames received since the last reset fence (read loop only)
-	barGen uint64 // relay mode: latest host-barrier generation announced
 
 	// Exec-mode run state, owned by the read loop.
 	active     *WorkerTransport
@@ -436,9 +435,9 @@ func (w *ipcWorker) sendStallHint(gen uint64) {
 }
 
 // sendBarrierArrive implements workerIO: every local rank reached
-// host-barrier generation barGen.
-func (w *ipcWorker) sendBarrierArrive(gen, barGen uint64) {
-	_ = w.writeControl(&wire.Frame{Kind: wire.KindBarrier, Src: int32(w.node), Seq: barGen, A: gen})
+// host-barrier generation barrier.
+func (w *ipcWorker) sendBarrierArrive(gen, barrier uint64) {
+	_ = w.writeControl(&wire.Frame{Kind: wire.KindBarrier, Src: int32(w.node), Seq: barrier, A: gen})
 }
 
 // maxResultBatchWords bounds one result frame's payload so a node with
@@ -601,7 +600,7 @@ func (w *ipcWorker) loop() int {
 			if w.active != nil {
 				if w.finished.Load() {
 					flags |= probeFinished
-				} else if w.active.stallStatus() {
+				} else if w.active.stalled(false) {
 					flags |= probeStalled
 				}
 			}
@@ -653,8 +652,6 @@ func (w *ipcWorker) loop() int {
 			}
 			if w.active != nil {
 				w.active.releaseBarrier(f.Seq)
-			} else {
-				w.barGen = f.Seq
 			}
 		case wire.KindAbort:
 			// Exec mode: the coordinator's verdict on the active run —

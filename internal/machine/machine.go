@@ -15,10 +15,16 @@
 // what lets the higher layers (internal/darray, internal/kf) account every
 // byte a real compiler-generated message-passing program would move.
 //
-// Message delivery itself is delegated to a pluggable Transport: the default
-// SharedTransport delivers through one per-receiver mailbox array, while
-// FederatedTransport partitions the processors into nodes joined by counted
-// FIFO links. Programs behave bit-identically on any conforming transport.
+// Message delivery itself is delegated to a pluggable Transport. Every
+// bundled transport receives through one mailbox core — a per-receiver
+// mailbox array with one blocking receive and one stall snapshot: the
+// default SharedTransport delivers into it directly, FederatedTransport
+// adds a node partition whose inter-node traffic crosses counted FIFO
+// links, IPCTransport runs the nodes as worker processes joined by
+// sockets, and WorkerTransport is one worker's window of an ipc machine
+// whose ranks execute inside the workers. ChaosTransport wraps any of them
+// with seeded faults. Programs behave bit-identically on any conforming
+// transport.
 package machine
 
 import (
@@ -60,6 +66,13 @@ type Machine struct {
 	// without exposing the callbacks as Machine methods (and without
 	// allocating: &m.coord shares the machine's allocation).
 	coord coordinator
+
+	// DirectScheduling makes the distributed-array collectives derive
+	// their communication inline on every call instead of replaying
+	// compiled schedules — the verification mode of the
+	// inspector/executor split, bit-identical to replay. Every processor
+	// reads it, so it may change only outside Run.
+	DirectScheduling bool
 }
 
 // coordinator implements Coordinator on behalf of its Machine.

@@ -20,11 +20,15 @@ import (
 // unchanged, with bit-identical virtual times, on every conforming
 // transport.
 //
-// Two implementations ship with the package: SharedTransport (one
-// per-receiver mailbox array, the single-machine fast path) and
-// FederatedTransport (processors partitioned into nodes, inter-node traffic
-// routed through per-node-pair ordered links — the NUMA-style federation
-// that is the door to a real network transport).
+// Four implementations ship with the package, all built on one mailbox
+// core (mailboxes: deliver, the blocking receive, the stall snapshot):
+// SharedTransport (the per-receiver mailbox array, the single-machine fast
+// path), FederatedTransport (the same mailboxes with processors
+// partitioned into nodes and inter-node traffic counted on per-node-pair
+// ordered links), IPCTransport (the federation's nodes as worker
+// processes joined by sockets) and WorkerTransport (one worker's window of
+// an ipc machine whose ranks run inside the workers). ChaosTransport wraps
+// any of them with seeded faults.
 type Transport interface {
 	// Size returns the number of processor endpoints.
 	Size() int
@@ -116,22 +120,24 @@ type Coordinator interface {
 // hostBarrier is the generation-counted barrier shared by the bundled
 // transports. It synchronizes host goroutines, not virtual clocks.
 type hostBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	arrived int
-	gen     uint64
+	mu       sync.Mutex
+	cond     *sync.Cond
+	size     int    // endpoints arriving at this barrier
+	arrived  int    // arrivals in the current generation
+	gen      uint64 // generations every endpoint has entered
+	released uint64 // generations released
 	// waiters lists the ranks parked through a Parker on the current
-	// generation; the releasing arrival wakes each one. Under a parking
-	// engine a barrier waiter must yield its worker token — with one
-	// worker, a cond-blocked waiter would hold the only token and no
-	// later endpoint could ever arrive.
+	// generation; the release wakes each one. Under a parking engine a
+	// barrier waiter must yield its worker token — with one worker, a
+	// cond-blocked waiter would hold the only token and no later endpoint
+	// could ever arrive.
 	waiters []int
-	// onRelease, when set, is invoked by the releasing arrival with the
-	// new generation, under the barrier lock — the hook a networked
-	// transport uses to announce epoch boundaries to its peers. It must
-	// not call back into the barrier.
-	onRelease func(gen uint64)
+	// announce, when set, makes the release remote: the last arrival of
+	// generation g calls announce(g) under the barrier lock, and the
+	// generation stays closed until release(g) — the ipc worker's half of
+	// a machine-wide barrier, whose other endpoints live on other nodes.
+	// When nil, the last arrival releases the generation itself.
+	announce func(gen uint64)
 }
 
 func (b *hostBarrier) init(size int) {
@@ -139,51 +145,63 @@ func (b *hostBarrier) init(size int) {
 	b.cond = sync.NewCond(&b.mu)
 }
 
-// await parks the caller until all size endpoints have arrived, reporting
-// false if down was raised while waiting. With a non-nil Parker the wait
-// parks through the engine (releasing the worker token) instead of the
-// condition variable; the down path needs no barrier-local wakeup because
-// whatever raised down broadcasts a WakeAll.
+// await parks the caller until its generation is released, reporting false
+// if down was raised while waiting. With a non-nil Parker the wait parks
+// through the engine (releasing the worker token) instead of the condition
+// variable; the down path needs no barrier-local wakeup for parked waiters
+// because whatever raised down broadcasts a WakeAll.
 func (b *hostBarrier) await(rank int, down *atomic.Bool, pk Parker) bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if down.Load() {
-		b.mu.Unlock()
 		return false
 	}
-	gen := b.gen
+	g := b.gen + 1
 	b.arrived++
 	if b.arrived == b.size {
 		b.arrived = 0
-		b.gen++
-		if b.onRelease != nil {
-			b.onRelease(b.gen)
+		b.gen = g
+		if b.announce == nil {
+			b.releaseLocked(g, pk)
+			return true
 		}
-		b.cond.Broadcast()
+		b.announce(g)
+	}
+	if pk != nil && b.released < g {
+		b.waiters = append(b.waiters, rank)
+	}
+	for b.released < g && !down.Load() {
+		if pk != nil {
+			b.mu.Unlock()
+			pk.Park(rank)
+			b.mu.Lock()
+		} else {
+			b.cond.Wait()
+		}
+	}
+	return b.released >= g
+}
+
+// release opens generation g (and every earlier one) and wakes its
+// waiters.
+func (b *hostBarrier) release(g uint64, pk Parker) {
+	b.mu.Lock()
+	b.releaseLocked(g, pk)
+	b.mu.Unlock()
+}
+
+func (b *hostBarrier) releaseLocked(g uint64, pk Parker) {
+	b.released = max(b.released, g)
+	b.cond.Broadcast()
+	if pk != nil {
 		// Waking under b.mu keeps this generation's waiter list intact:
 		// a woken rank cannot re-enter await (and append to waiters)
-		// until this unlock.
+		// until the unlock.
 		for _, w := range b.waiters {
 			pk.Wake(w)
 		}
 		b.waiters = b.waiters[:0]
-		b.mu.Unlock()
-		return true
 	}
-	if pk == nil {
-		for b.gen == gen && !down.Load() {
-			b.cond.Wait()
-		}
-		b.mu.Unlock()
-		return b.gen != gen
-	}
-	b.waiters = append(b.waiters, rank)
-	for b.gen == gen && !down.Load() {
-		b.mu.Unlock()
-		pk.Park(rank)
-		b.mu.Lock()
-	}
-	b.mu.Unlock()
-	return b.gen != gen
 }
 
 // wake releases barrier waiters after the down flag is set (parked waiters
@@ -194,11 +212,11 @@ func (b *hostBarrier) wake() {
 	b.mu.Unlock()
 }
 
-// reset clears arrival state (waiters from an aborted Run have all exited
-// by the time a Machine resets its transport).
+// reset rewinds the barrier to generation zero (waiters from an aborted
+// Run have all exited by the time a Machine resets its transport).
 func (b *hostBarrier) reset() {
 	b.mu.Lock()
-	b.arrived = 0
+	b.arrived, b.gen, b.released = 0, 0, 0
 	b.waiters = b.waiters[:0]
 	b.mu.Unlock()
 }

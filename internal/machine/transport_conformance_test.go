@@ -343,60 +343,54 @@ func TestConformanceCrossTransportIdentical(t *testing.T) {
 	}
 }
 
-func TestSharedTransportPingPongZeroAllocs(t *testing.T) {
-	// The shared-memory fast path must stay allocation-free in steady
-	// state: pooled payload buffers, recycled queue slices, no hidden
-	// closure or interface boxing on the hot path.
-	m := New(2, ZeroComm())
-	err := m.Run(func(p *Proc) error {
-		other := 1 - p.Rank()
-		pingPong := func() {
-			if p.Rank() == 0 {
-				p.SendValue(other, 1, 1)
-				p.RecvValue(other, 2)
-			} else {
-				p.RecvValue(other, 1)
-				p.SendValue(other, 2, 1)
+func TestTransportSteadyStateZeroAllocs(t *testing.T) {
+	// The in-process transports share one pooling discipline: pooled
+	// payload buffers, recycled queue slices, no hidden closure or
+	// interface boxing on the hot path — so a warmed ping-pong runs
+	// allocation-free, on the federated rows across the node link as well
+	// as inside a node, and through an inactive chaos wrapper too. The ipc
+	// row pays for sockets and has its own test.
+	for _, tc := range []struct {
+		name  string
+		nodes int
+	}{
+		{"shared", 1},
+		{"federated", 2},
+		{ChaosPrefix + "shared", 1},
+		{ChaosPrefix + "federated", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := NewTransportByName(tc.name, 8, tc.nodes)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		pingPong() // warm the pools and queue maps
-		if avg := testing.AllocsPerRun(200, pingPong); avg != 0 {
-			t.Errorf("warmed shared-transport ping-pong: %v allocs per run, want 0", avg)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFederatedTransportSteadyStateAllocs(t *testing.T) {
-	// The federated path shares the pooling discipline: a warmed
-	// intra-node and inter-node ping-pong both run allocation-free.
-	m := NewFederated(8, 2, ZeroComm())
-	err := m.Run(func(p *Proc) error {
-		// Nodes are {0..3} and {4..7}: pairs (0,1) and (4,5) ping-pong
-		// inside a node, pairs (2,6) and (3,7) across the link.
-		peers := [8]int{1, 0, 6, 7, 5, 4, 2, 3}
-		peer := peers[p.Rank()]
-		lead := p.Rank() < peer
-		pingPong := func() {
-			if lead {
-				p.SendValue(peer, 1, 1)
-				p.RecvValue(peer, 2)
-			} else {
-				p.RecvValue(peer, 1)
-				p.SendValue(peer, 2, 1)
+			m := NewWithTransport(tr, ZeroComm())
+			err = m.Run(func(p *Proc) error {
+				// With two nodes, {0..3} and {4..7}: pairs (0,1) and (4,5)
+				// ping-pong inside a node, pairs (2,6) and (3,7) across
+				// the link.
+				peers := [8]int{1, 0, 6, 7, 5, 4, 2, 3}
+				peer := peers[p.Rank()]
+				lead := p.Rank() < peer
+				pingPong := func() {
+					if lead {
+						p.SendValue(peer, 1, 1)
+						p.RecvValue(peer, 2)
+					} else {
+						p.RecvValue(peer, 1)
+						p.SendValue(peer, 2, 1)
+					}
+				}
+				pingPong() // warm the pools and queue maps
+				if avg := testing.AllocsPerRun(200, pingPong); avg != 0 {
+					t.Errorf("warmed ping-pong (rank %d): %v allocs per run, want 0", p.Rank(), avg)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		pingPong()
-		if avg := testing.AllocsPerRun(200, pingPong); avg != 0 {
-			t.Errorf("warmed federated ping-pong (rank %d): %v allocs per run, want 0", p.Rank(), avg)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // workerIO is the WorkerTransport's face toward the IPC worker hosting it:
@@ -14,13 +13,13 @@ import (
 // keeps program order on the wire; sendStallHint tells the coordinator
 // this node's live ranks are all blocked (the distributed probe's
 // trigger); sendBarrierArrive announces that every local rank reached
-// host-barrier generation barGen. All three stamp gen, the run
+// host-barrier generation barrier. All three stamp gen, the run
 // generation, so the coordinator can discard stragglers from an aborted
 // run.
 type workerIO interface {
 	sendRemote(gen uint64, src, dst, dstNode int, tag Tag, data []float64, arrival float64)
 	sendStallHint(gen uint64)
-	sendBarrierArrive(gen, barGen uint64)
+	sendBarrierArrive(gen, barrier uint64)
 }
 
 // WorkerTransport is the transport a worker-hosted sub-machine runs on: the
@@ -40,42 +39,28 @@ type workerIO interface {
 // start-of-run Reset must not discard inter-node frames the coordinator
 // routed ahead of the run-start signal; the between-runs rewind happens
 // in rebind, before the worker acknowledges the spec. Stall handling is
-// split: the local
-// quiescence triggers (executor quiescence, blocked-count crossings) call
-// CheckStalled here, which never declares anything — a single node cannot
-// distinguish "deadlocked" from "waiting on a frame another node has yet
-// to send" — but reports the local stall to the coordinator as a
-// StallHint frame. The coordinator's two-phase probe establishes the
-// global quiescent cut and broadcasts the verdict back, which lands here
-// as declareStall (unwinding blocked ranks with the exact deadlock cause
-// the single-process transports produce) or hostDown with a reason.
+// split: the local quiescence triggers (executor quiescence, blocked-count
+// crossings) call CheckStalled here, which never declares anything — a
+// single node cannot distinguish "deadlocked" from "waiting on a frame
+// another node has yet to send" — but reports the local stall to the
+// coordinator as a StallHint frame. The coordinator's two-phase probe
+// establishes the global quiescent cut and broadcasts the verdict back,
+// which lands here as declareStall (unwinding blocked ranks with the exact
+// deadlock cause the single-process transports produce) or hostDown with
+// a reason. The host barrier is machine-wide the same way: the last local
+// arrival announces the generation to the coordinator, which releases it
+// (releaseBarrier) once every node has announced.
 type WorkerTransport struct {
+	// The mailboxes and barrier cover this node's rank window [lo, hi).
+	hostBoxes
 	n       int // global rank-space size
-	nnodes  int
 	perNode int
 	node    int
-	lo, hi  int    // this node's rank window
 	gen     uint64 // run generation, fixed at construction
-	boxes   []mailbox
-	coord   Coordinator
-	pool    bufPool
-	recheck stallRechecker
 	host    workerIO
-	down    atomic.Bool
 
 	reasonMu sync.Mutex
 	reason   error
-
-	// Host-barrier state. Local arrivals count under bmu; when the whole
-	// window has arrived the generation is announced to the coordinator,
-	// and the waiters park until the coordinator (having heard the same
-	// from every node) releases the generation via releaseBarrier.
-	bmu      sync.Mutex
-	bcond    *sync.Cond
-	arrived  int
-	localGen uint64 // generations fully arrived locally (announced)
-	released uint64 // generations released by the coordinator
-	waiters  []int  // ranks parked through a Parker on the current generation
 }
 
 // newWorkerTransport wires a transport for one node's window of an n-rank,
@@ -88,23 +73,9 @@ func newWorkerTransport(host workerIO, node, n, nnodes int, gen uint64) (*Worker
 		return nil, fmt.Errorf("machine: worker transport node %d out of range [0, %d)", node, nnodes)
 	}
 	perNode := n / nnodes
-	t := &WorkerTransport{
-		n:       n,
-		nnodes:  nnodes,
-		perNode: perNode,
-		node:    node,
-		lo:      node * perNode,
-		hi:      (node + 1) * perNode,
-		gen:     gen,
-		boxes:   make([]mailbox, perNode),
-		host:    host,
-	}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.cond = sync.NewCond(&mb.mu)
-		mb.queues = make(map[msgKey][]message)
-	}
-	t.bcond = sync.NewCond(&t.bmu)
+	t := &WorkerTransport{n: n, perNode: perNode, node: node, gen: gen, host: host}
+	t.init(node*perNode, perNode)
+	t.bar.announce = func(g uint64) { t.host.sendBarrierArrive(t.gen, g) }
 	return t, nil
 }
 
@@ -114,19 +85,7 @@ func (t *WorkerTransport) Size() int { return t.n }
 
 // LocalRanks returns the window of ranks executing on this node; see
 // localRanker.
-func (t *WorkerTransport) LocalRanks() (lo, hi int) { return t.lo, t.hi }
-
-// Bind installs the sub-machine's coordinator and picks up its buffer pool
-// and stall-recheck capabilities.
-func (t *WorkerTransport) Bind(c Coordinator) {
-	t.coord = c
-	t.pool, _ = c.(bufPool)
-	t.recheck, _ = c.(stallRechecker)
-}
-
-// Down reports whether the transport has been taken down (coordinator
-// verdict, abort, or worker-side failure).
-func (t *WorkerTransport) Down() bool { return t.down.Load() }
+func (t *WorkerTransport) LocalRanks() (lo, hi int) { return t.lo, t.lo + len(t.boxes) }
 
 // DownReason returns the structured cause of the down state, or nil — nil
 // after a declared distributed stall, so blocked receivers unwind with
@@ -145,51 +104,15 @@ func (t *WorkerTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
 	return cost.LinkMessageTime(src/t.perNode, dst/t.perNode, b)
 }
 
-// acquire supplies payload buffers for decoded Data frames from the
-// sub-machine's pool when bound.
-func (t *WorkerTransport) acquire(n int) []float64 {
-	if t.pool != nil {
-		return t.pool.acquirePooled(n)
-	}
-	return make([]float64, n)
-}
-
-// release recycles a buffer acquire supplied once its contents have been
-// copied out (the batch container of a multi-message Data frame; the
-// per-message buffers are owned by the mailboxes they are delivered to).
-func (t *WorkerTransport) release(buf []float64) {
-	if t.pool != nil && buf != nil {
-		t.pool.releasePooled(buf)
-	}
-}
-
-// deliverLocal places a message in a local rank's mailbox and wakes the
-// owner if it waits on exactly this stream — SharedTransport's delivery
-// step over the windowed mailbox array.
-func (t *WorkerTransport) deliverLocal(src, dst int, tag Tag, data []float64, arrival float64) {
-	mb := &t.boxes[dst-t.lo]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	mb.putLocked(k, message{data: data, arrival: arrival})
-	if mb.waiting && mb.await == k {
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.Wake(dst)
-		} else {
-			mb.cond.Signal()
-		}
-	}
-	mb.mu.Unlock()
-}
-
 // deliverRemote completes an inter-node crossing: the worker's read loop
 // hands over a routed Data frame's fields. It errors on a destination
 // outside this node's window — the coordinator misrouted, which the worker
 // treats as a protocol failure.
 func (t *WorkerTransport) deliverRemote(src, dst int, tag Tag, data []float64, arrival float64) error {
-	if dst < t.lo || dst >= t.hi {
-		return fmt.Errorf("machine: routed frame for rank %d outside node %d's window [%d, %d)", dst, t.node, t.lo, t.hi)
+	if lo, hi := t.LocalRanks(); dst < lo || dst >= hi {
+		return fmt.Errorf("machine: routed frame for rank %d outside node %d's window [%d, %d)", dst, t.node, lo, hi)
 	}
-	t.deliverLocal(src, dst, tag, data, arrival)
+	t.deliver(src, dst, tag, data, arrival)
 	if t.recheck != nil {
 		// A delivery that wakes no rank must still re-run the local stall
 		// decision: the hint that armed the coordinator's probe predates
@@ -206,127 +129,17 @@ func (t *WorkerTransport) deliverRemote(src, dst int, tag Tag, data []float64, a
 // balancing the buffers the read loop acquires for deliveries.
 func (t *WorkerTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
 	if dst/t.perNode == t.node {
-		t.deliverLocal(src, dst, tag, data, arrival)
+		t.deliver(src, dst, tag, data, arrival)
 		return
 	}
 	t.host.sendRemote(t.gen, src, dst, dst/t.perNode, tag, data, arrival)
-	if t.pool != nil && data != nil {
-		t.pool.releasePooled(data)
-	}
-}
-
-// Recv blocks the calling endpoint until a message matching (src, tag) is
-// available; identical protocol to SharedTransport.Recv.
-func (t *WorkerTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
-	mb := &t.boxes[dst-t.lo]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	if msg, ok := mb.takeLocked(k); ok {
-		mb.mu.Unlock()
-		return msg.data, msg.arrival, true
-	}
-	if t.down.Load() {
-		mb.mu.Unlock()
-		return nil, 0, false
-	}
-	mb.await = k
-	mb.waiting = true
-	mb.mu.Unlock()
-
-	if t.coord != nil {
-		t.coord.Blocked()
-	}
-
-	pk := parkerOf(t.coord)
-	mb.mu.Lock()
-	for {
-		if msg, ok := mb.takeLocked(k); ok {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return msg.data, msg.arrival, true
-		}
-		if t.down.Load() {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return nil, 0, false
-		}
-		if pk != nil {
-			mb.mu.Unlock()
-			pk.Park(dst)
-			mb.mu.Lock()
-		} else {
-			mb.cond.Wait()
-		}
-	}
-}
-
-// Barrier blocks the calling local rank until every rank of the whole
-// machine — across all nodes — has entered the same generation. Local
-// arrivals count under bmu; the last one announces the generation to the
-// coordinator, which releases it (releaseBarrier) once every node has
-// announced. Reports false if the transport went down while waiting.
-func (t *WorkerTransport) Barrier(rank int) bool {
-	if rank < t.lo || rank >= t.hi {
-		panic(fmt.Sprintf("machine: barrier from rank %d outside node %d's window [%d, %d)", rank, t.node, t.lo, t.hi))
-	}
-	t.bmu.Lock()
-	if t.down.Load() {
-		t.bmu.Unlock()
-		return false
-	}
-	t.arrived++
-	var g uint64
-	if t.arrived == t.hi-t.lo {
-		t.arrived = 0
-		t.localGen++
-		g = t.localGen
-		t.host.sendBarrierArrive(t.gen, g)
-	} else {
-		g = t.localGen + 1
-	}
-	pk := parkerOf(t.coord)
-	if pk != nil && t.released < g {
-		t.waiters = append(t.waiters, rank)
-	}
-	for t.released < g && !t.down.Load() {
-		if pk != nil {
-			t.bmu.Unlock()
-			pk.Park(rank)
-			t.bmu.Lock()
-		} else {
-			t.bcond.Wait()
-		}
-	}
-	ok := t.released >= g
-	t.bmu.Unlock()
-	return ok
+	t.release(data)
 }
 
 // releaseBarrier applies the coordinator's release of host-barrier
 // generation g (every node announced it); called from the worker's read
 // loop.
-func (t *WorkerTransport) releaseBarrier(g uint64) {
-	t.bmu.Lock()
-	if g > t.released {
-		t.released = g
-	}
-	t.bcond.Broadcast()
-	if pk := parkerOf(t.coord); pk != nil {
-		// Waking under bmu keeps the waiter list intact: a woken rank
-		// cannot re-enter Barrier (and append again) until the unlock.
-		for _, w := range t.waiters {
-			pk.Wake(w)
-		}
-		t.waiters = t.waiters[:0]
-	}
-	t.bmu.Unlock()
-}
+func (t *WorkerTransport) releaseBarrier(g uint64) { t.bar.release(g, parkerOf(t.coord)) }
 
 // rebind readies a cached transport for another run at a new generation.
 // The fence that ended the previous run took the transport down
@@ -338,20 +151,10 @@ func (t *WorkerTransport) releaseBarrier(g uint64) {
 // exactly as they would in a freshly built transport.
 func (t *WorkerTransport) rebind(gen uint64) {
 	t.gen = gen
-	t.down.Store(false)
+	t.hostBoxes.Reset()
 	t.reasonMu.Lock()
 	t.reason = nil
 	t.reasonMu.Unlock()
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.reset()
-		mb.mu.Unlock()
-	}
-	t.bmu.Lock()
-	t.arrived, t.localGen, t.released = 0, 0, 0
-	t.waiters = t.waiters[:0]
-	t.bmu.Unlock()
 }
 
 // Reset is a no-op: a WorkerTransport serves one run per (re)bind, and
@@ -361,28 +164,10 @@ func (t *WorkerTransport) rebind(gen uint64) {
 // belong to the coordinator's reset protocol plus rebind.
 func (t *WorkerTransport) Reset() {}
 
-// Abort marks the transport down and wakes every blocked receiver, barrier
-// waiter and parked rank. It is local to this node: the coordinator learns
-// of the run's failure from the rank errors in the RankResult frames.
-func (t *WorkerTransport) Abort() {
-	t.down.Store(true)
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	}
-	t.bmu.Lock()
-	t.bcond.Broadcast()
-	t.bmu.Unlock()
-	if pk := parkerOf(t.coord); pk != nil {
-		pk.WakeAll()
-	}
-}
-
 // hostDown takes the run down on the coordinator's order with a structured
 // reason (worker-side of IPCTransport's abort broadcast); first reason
-// wins.
+// wins. Like Abort, it is local to this node: the coordinator learns of
+// the run's failure from the rank errors in the RankResult frames.
 func (t *WorkerTransport) hostDown(reason error) {
 	if reason != nil {
 		t.reasonMu.Lock()
@@ -400,49 +185,15 @@ func (t *WorkerTransport) hostDown(reason error) {
 // the single-process transports.
 func (t *WorkerTransport) declareStall() { t.Abort() }
 
-// stallStatus evaluates the local stall condition without declaring
-// anything: all live local ranks blocked (confirmed by the machine under
-// every mailbox lock) and no waiter has a matching pending message. This
-// is the per-node half of the distributed probe; the worker reports it in
-// ProbeAck status flags.
-func (t *WorkerTransport) stallStatus() bool {
-	if t.coord == nil || t.down.Load() {
-		return false
-	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Lock()
-	}
-	stalled := false
-	if live := t.coord.ConfirmStall(); live > 0 {
-		waiting := 0
-		canProceed := false
-		for i := range t.boxes {
-			mb := &t.boxes[i]
-			if !mb.waiting {
-				continue
-			}
-			waiting++
-			if len(mb.queues[mb.await]) > 0 {
-				canProceed = true
-			}
-		}
-		if waiting >= live && !canProceed {
-			stalled = true
-		}
-	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Unlock()
-	}
-	return stalled
-}
-
 // CheckStalled never declares a stall — one node cannot tell a deadlock
 // from a frame another node has yet to send — but forwards a locally
 // quiescent state to the coordinator as a StallHint, arming the two-phase
 // distributed probe. Always false: the verdict arrives asynchronously as
-// declareStall.
+// declareStall. The local condition (stalled(false)) is the per-node half
+// of the distributed probe; the worker also reports it in ProbeAck status
+// flags.
 func (t *WorkerTransport) CheckStalled() bool {
-	if t.stallStatus() {
+	if t.stalled(false) {
 		t.host.sendStallHint(t.gen)
 	}
 	return false

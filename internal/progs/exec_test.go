@@ -120,6 +120,57 @@ func TestWorkerExecConformance(t *testing.T) {
 
 // TestWorkerExecTCPLoopback is the same conformance row over a TCP
 // listener instead of unix sockets (core.ListenAddr).
+// TestDirectSchedulingConcurrentRuns pins DirectScheduling as per-machine
+// state: a direct and a scheduled System run at the same time without
+// seeing each other's mode, bit-identical to each other; and a direct ipc
+// System ships the mode in its run spec, so its ranks still execute inside
+// the workers, bit-identical to a shared run.
+func TestDirectSchedulingConcurrentRuns(t *testing.T) {
+	prog := mustProg(t, "jacobi", 64, 2)
+	direct := mustSys(t, core.Grid(4, 4), core.DirectScheduling())
+	sched := mustSys(t, core.Grid(4, 4))
+	var wg sync.WaitGroup
+	var runs [2]core.Run
+	var errs [2]error
+	for round := 0; round < 10; round++ {
+		wg.Add(2)
+		go func() { defer wg.Done(); runs[0], errs[0] = direct.RunProgram(prog) }()
+		go func() { defer wg.Done(); runs[1], errs[1] = sched.RunProgram(prog) }()
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cmp := core.CompareRuns(runs[0], runs[1]); !cmp.Identical || !cmp.TimesIdentical {
+			t.Fatalf("round %d: concurrent direct vs scheduled runs differ: %+v", round, cmp)
+		}
+	}
+
+	ipc := mustSys(t, core.Grid(4, 4), core.Transport("ipc"), core.Nodes(4), core.DirectScheduling())
+	cmp, err := core.Compare(prog, sched, ipc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cmp.Identical || !cmp.TimesIdentical {
+		t.Errorf("shared vs direct ipc: values=%v census=%v times=%v",
+			cmp.ValuesIdentical, cmp.CensusIdentical, cmp.TimesIdentical)
+	}
+	run, err := ipc.RunProgram(mustProg(t, "hostpid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := ipcTransport(t, ipc).WorkerPIDs()
+	if len(pids) != 4 || len(run.Values) != 16 {
+		t.Fatalf("worker pids %v, hostpid values %v: want 4 workers and 16 ranks", pids, run.Values)
+	}
+	for rank, v := range run.Values {
+		if want := float64(pids[rank/4]); v != want {
+			t.Errorf("direct ipc rank %d ran in pid %v, want its node's worker pid %v", rank, v, want)
+		}
+	}
+}
+
 func TestWorkerExecTCPLoopback(t *testing.T) {
 	shared := mustSys(t, core.Grid(2, 2))
 	ipc := mustSys(t, core.Grid(2, 2), core.Transport("ipc"), core.Nodes(2),

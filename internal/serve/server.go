@@ -134,10 +134,10 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // validate checks the cheap request invariants — program schema, grid
-// shape and caps — before the request is allowed to queue. Everything the
-// System constructor itself validates (transport names, node
-// divisibility, link specs) is deferred to it and classified as a bad
-// request there.
+// shape, caps and the link-list length — before the request is allowed to
+// queue. Everything the System constructor itself validates (transport
+// names, node divisibility, link specs) is deferred to it and classified
+// as a bad request there.
 func (s *Server) validate(req *RunRequest) error {
 	if req.Program == "" {
 		return &BadRequestError{Msg: fmt.Sprintf("no program named (registered: %v)", core.ProgramNames())}
@@ -163,6 +163,12 @@ func (s *Server) validate(req *RunRequest) error {
 	}
 	if req.Nodes < 0 || req.Nodes > s.cfg.MaxNodes {
 		return &BadRequestError{Msg: fmt.Sprintf("nodes %d outside [0, %d]", req.Nodes, s.cfg.MaxNodes)}
+	}
+	// A federation of k nodes has k*(k-1) directed links; a longer list
+	// must repeat or misplace one, and is refused before costModel builds
+	// a map from it.
+	if nodes := max(req.Nodes, 1); len(req.Links) > nodes*(nodes-1) {
+		return &BadRequestError{Msg: fmt.Sprintf("%d link overrides for %d nodes, which have only %d directed links", len(req.Links), nodes, nodes*(nodes-1))}
 	}
 	if req.TimeoutMs < 0 {
 		return &BadRequestError{Msg: "timeout_ms must be non-negative"}
@@ -208,9 +214,15 @@ func (req *RunRequest) costModel() machine.CostModel {
 	return cm
 }
 
+// maxRunBody caps a /v1/run request body. The largest valid request — a
+// full link table for the largest federation — is a few hundred
+// kilobytes, so the cap only ever stops a client streaming a body nothing
+// could use.
+const maxRunBody = 1 << 20
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.fail(w, "", &BadRequestError{Msg: fmt.Sprintf("decode request: %v", err)})

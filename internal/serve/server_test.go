@@ -181,6 +181,35 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+func TestRunRejectsUntrustedSizes(t *testing.T) {
+	// Untrusted input is bounded before anything is built: a body past the
+	// size cap and a link list longer than the federation has directed
+	// links both get a 400, and the pool never builds a System for them.
+	s, ts := newTestServer(t, serve.Config{})
+	huge := `{"program":"jacobi",` + strings.Repeat(" ", 2<<20) + `"args":[8,2],"grid":[2,2]}`
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversize body: status %d, want 400", resp.StatusCode)
+	}
+	links := []serve.LinkSpec{
+		{Src: 0, Dst: 1, Latency: 2, Byte: 2},
+		{Src: 1, Dst: 0, Latency: 2, Byte: 2},
+		{Src: 0, Dst: 1, Latency: 3, Byte: 3},
+	}
+	resp, data := postRun(t, ts, serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{2, 2},
+		Transport: "federated", Nodes: 2, LinkLatency: 2, LinkByte: 2, Links: links})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("3 links for 2 nodes: status %d, want 400 (%s)", resp.StatusCode, data)
+	}
+	if st := s.Pool().Stats(); st.Misses != 0 || st.Idle != 0 {
+		t.Errorf("rejected requests built Systems: %+v", st)
+	}
+}
+
 func TestRunFailureDiscardsSystem(t *testing.T) {
 	s, ts := newTestServer(t, serve.Config{})
 	req := serve.RunRequest{Program: "stall", Grid: []int{2}}

@@ -52,7 +52,7 @@ const (
 	KindHello           // worker session opener; Seq = node id
 	KindData            // simulated message; Seq = per-socket FIFO sequence, A = run generation on worker->coordinator frames
 	KindDeliver         // simulated message, relay worker -> coordinator; same fields as the Data it reflects
-	KindBarrier         // host-barrier epoch announcement; Seq = generation, A = run generation on worker->coordinator arrivals
+	KindBarrier         // exec-mode host barrier: worker->coordinator arrival (A = run generation) or coordinator->worker release; Seq = barrier generation
 	KindReset           // run fence, coordinator -> worker; Seq = reset generation
 	KindResetAck        // run fence acknowledgement; Seq echoes the generation, A = data frames seen before the fence
 	KindAbort           // abort broadcast, coordinator -> worker; Seq = 1 when a distributed stall was declared (ranks unwind with the deadlock cause)
