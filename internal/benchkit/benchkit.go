@@ -452,9 +452,10 @@ func Jacobi1024ProcPriced(b *testing.B) {
 	cost := machine.CostModel{Latency: 1e-6, BytePeriod: 1e-9}.WithInterNode(4, 8)
 	sys := core.MustSystem(core.Grid(32, 32), core.Transport("federated"), core.Nodes(16),
 		core.Cost(cost), core.Executor("calendar"))
-	// Two warm runs: the first builds (uncached, as any one-shot run
-	// would), the second is the first reused run and installs the scratch
-	// caches — so every timed op is a pure cache hit.
+	// Two warm runs: the first declares every rank's arrays and sweep
+	// header (kf.Declare) and sizes the machine's pools, the second absorbs
+	// the last few first-use allocations — so every timed op is a pure
+	// cache hit.
 	for i := 0; i < 2; i++ {
 		if _, err := jacobi.KF1(sys.Machine, sys.Procs, x0, f, 1); err != nil {
 			b.Fatal(err)
@@ -486,8 +487,8 @@ func Jacobi1024ProcIPC4Node(b *testing.B) {
 		core.Cost(machine.ZeroComm()), core.Executor("calendar"))
 	defer sys.Close()
 	// Two warm runs: spawn the worker fleet and let each worker's
-	// sub-machine install its scratch caches, so every timed op is a pure
-	// cache hit on both sides of the sockets.
+	// sub-machine declare its ranks' arrays and plans and settle, so every
+	// timed op is a pure cache hit on both sides of the sockets.
 	for i := 0; i < 2; i++ {
 		if _, err := sys.RunProgram(prog); err != nil {
 			b.Fatal(err)
@@ -511,8 +512,8 @@ func Jacobi16384Proc(b *testing.B) {
 	x0, f := jacobi.Problem(256)
 	sys := core.MustSystem(core.Grid(128, 128), core.Cost(machine.ZeroComm()),
 		core.Executor("calendar"))
-	// Two warm runs, as in Jacobi1024ProcPriced: build, then install the
-	// scratch caches, so every timed op is a pure cache hit.
+	// Two warm runs, as in Jacobi1024ProcPriced: declare, then settle, so
+	// every timed op is a pure cache hit.
 	for i := 0; i < 2; i++ {
 		if _, err := jacobi.KF1(sys.Machine, sys.Procs, x0, f, 1); err != nil {
 			b.Fatal(err)

@@ -188,3 +188,71 @@ func TestExchangeHaloRunBasedMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGridLookupsZeroAllocs pins OwnerGrid and SectionGrid at zero
+// allocations once the per-processor grid-slice cache holds their slices:
+// they answer from that cache without building any view. Each lookup must
+// return the very grid the memoized section chain reports, and must leave
+// the array's section memo empty.
+func TestGridLookupsZeroAllocs(t *testing.T) {
+	g := topology.New(2, 3)
+	specs := []Spec{
+		{Extents: []int{6, 9}, Dists: []dist.Dist{dist.Block{}, dist.Block{}}},
+		{Extents: []int{6, 4, 9}, Dists: []dist.Dist{dist.Block{}, dist.Star{}, dist.Cyclic{}}},
+	}
+	var rank0 []*Array
+	run(t, 6, func(p *machine.Proc) error {
+		for _, spec := range specs {
+			a, ref := New(p, g, spec), New(p, g, spec)
+			ext := spec.Extents
+			for i := 0; i < ext[0]; i++ {
+				if got, want := a.SectionGrid(0, i), ref.Section(0, i).Grid(); got != want {
+					t.Errorf("rank %d: SectionGrid(0, %d) = %v, want %v", p.Rank(), i, got, want)
+				}
+				for j := 0; j < ext[1]; j++ {
+					if len(ext) == 2 {
+						if got, want := a.OwnerGrid(i, j), ref.Section(0, i).Section(0, j).Grid(); got != want {
+							t.Errorf("rank %d: OwnerGrid(%d, %d) = %v, want %v", p.Rank(), i, j, got, want)
+						}
+						continue
+					}
+					for k := 0; k < ext[2]; k++ {
+						if got, want := a.OwnerGrid(i, j, k), ref.Section(0, i).Section(0, j).Section(0, k).Grid(); got != want {
+							t.Errorf("rank %d: OwnerGrid(%d, %d, %d) = %v, want %v", p.Rank(), i, j, k, got, want)
+						}
+					}
+				}
+			}
+			for j := 0; j < ext[len(ext)-1]; j++ {
+				if got, want := a.SectionGrid(len(ext)-1, j), ref.Section(len(ext)-1, j).Grid(); got != want {
+					t.Errorf("rank %d: SectionGrid(%d, %d) = %v, want %v", p.Rank(), len(ext)-1, j, got, want)
+				}
+			}
+			if n := len(a.secs); n != 0 {
+				t.Errorf("rank %d: grid lookups memoized %d section views", p.Rank(), n)
+			}
+			if p.Rank() == 0 {
+				rank0 = append(rank0, a)
+			}
+		}
+		return nil
+	})
+	// Measured after the run, on one goroutine, so no other simulated
+	// processor's work is counted.
+	a2, a3 := rank0[0], rank0[1]
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 6; i++ {
+			a2.SectionGrid(0, i)
+			a3.SectionGrid(0, i)
+			for j := 0; j < 9; j++ {
+				a2.OwnerGrid(i, j)
+				a3.OwnerGrid(i, j%4, j)
+				a2.SectionGrid(1, j)
+				a3.SectionGrid(2, j)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm OwnerGrid/SectionGrid: %v allocs, want 0", allocs)
+	}
+}

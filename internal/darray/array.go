@@ -672,7 +672,7 @@ func (a *Array) Section(d, i int) *Array {
 	if sec, ok := a.secs[key]; ok {
 		return sec
 	}
-	sec := a.buildSection(sd, i, true)
+	sec := a.buildSection(sd, i)
 	if a.secs == nil {
 		a.secs = make(map[sectionKey]*Array, 2*secChunk)
 	}
@@ -686,40 +686,77 @@ func (a *Array) checkSectionIndex(sd, i int) {
 	}
 }
 
-// SectionGrid returns Section(d, i).Grid() without memoizing a section
-// view: the grid itself comes from the bounded per-processor grid-slice
-// cache, but the throwaway view is garbage-collected. Per-iteration
-// on-clause resolution uses this so a loop over n indices does not retain
-// O(n) views.
+// SectionGrid returns Section(d, i).Grid() without building a section
+// view: the grid comes straight from the per-processor grid-slice cache, so
+// once that cache holds the slice the call allocates nothing. Strip
+// compilation and per-iteration on-clause resolution use this, so neither
+// retains views it only asked for a grid.
 func (a *Array) SectionGrid(d, i int) *topology.Grid {
 	sd := a.storeDim(d)
 	a.checkSectionIndex(sd, i)
-	return a.buildSection(sd, i, false).grid
+	g, _ := a.sliceGrid(a.grid, 0, sd, i)
+	return g
 }
 
 // OwnerGrid returns the iteration grid of the element (or leading-index
 // section chain) at idx — Section(0, idx[0]).Section(0, idx[1])...Grid()
-// — again without memoizing any intermediate view.
+// — again without building any view: index k fixes the k-th free
+// dimension.
 func (a *Array) OwnerGrid(idx ...int) *topology.Grid {
-	sec := a
-	for _, i := range idx {
-		sd := sec.storeDim(0)
-		sec.checkSectionIndex(sd, i)
-		sec = sec.buildSection(sd, i, false)
+	g, gone := a.grid, uint64(0)
+	k := 0
+	for sd, f := range a.pfix {
+		if k == len(idx) {
+			break
+		}
+		if f >= 0 {
+			continue
+		}
+		a.checkSectionIndex(sd, idx[k])
+		g, gone = a.sliceGrid(g, gone, sd, idx[k])
+		k++
 	}
-	return sec.grid
+	if k < len(idx) {
+		panic(fmt.Sprintf("darray: OwnerGrid got %d indices for %d free dims", len(idx), k))
+	}
+	return g
 }
 
-// buildSection constructs the section view fixing store dim sd at i.
-// Cached views are carved from the parent's arena; uncached ones are
-// standalone allocations the collector reclaims.
-func (a *Array) buildSection(sd, i int, cached bool) *Array {
-	var sec *Array
-	if cached {
-		sec = a.newSection()
-	} else {
-		sec = &Array{}
+// sliceGrid returns the grid of the section fixing store dim sd at global
+// index i, taken from a view of this array on grid g whose remaining root
+// axes are a.axes minus the set gone, together with the updated set. A
+// Star dim leaves the grid unchanged; a distributed one slices g through
+// the owner of i.
+func (a *Array) sliceGrid(g *topology.Grid, gone uint64, sd, i int) (*topology.Grid, uint64) {
+	ax := a.st.axisOf[sd]
+	if ax < 0 {
+		return g, gone
 	}
+	pos := a.axisPos(ax, gone)
+	owner := a.st.dists[sd].Owner(i, a.st.extents[sd], a.st.rootGrid.Extent(ax))
+	return a.st.gridSlice(g, pos, owner), gone | 1<<ax
+}
+
+// axisPos returns the position of root axis ax among the view's axes minus
+// the set gone: the grid dimension a section along ax slices.
+func (a *Array) axisPos(ax int, gone uint64) int {
+	pos := 0
+	for _, rootAx := range a.axes {
+		if gone&(1<<rootAx) != 0 {
+			continue
+		}
+		if rootAx == ax {
+			return pos
+		}
+		pos++
+	}
+	panic("darray: internal error: sectioned axis not in current grid")
+}
+
+// buildSection constructs the section view fixing store dim sd at i,
+// carved from the parent's arena.
+func (a *Array) buildSection(sd, i int) *Array {
+	sec := a.newSection()
 	sec.st = a.st
 	sec.grid = a.grid
 	sec.dims = a.dims
@@ -731,32 +768,19 @@ func (a *Array) buildSection(sd, i int, cached bool) *Array {
 	}
 	copy(sec.pfix, a.pfix)
 	sec.pfix[sd] = i
-	ax := a.st.axisOf[sd]
-	if ax >= 0 {
-		// Slice the current grid through the owner of i along ax.
-		pos := -1
-		for k, rootAx := range a.axes {
-			if rootAx == ax {
-				pos = k
-				break
-			}
-		}
-		if pos < 0 {
-			panic("darray: internal error: sectioned axis not in current grid")
-		}
-		owner := a.st.dists[sd].Owner(i, a.st.extents[sd], a.st.rootGrid.Extent(ax))
+	if ax := a.st.axisOf[sd]; ax >= 0 {
 		var newAxes []int
 		if len(a.axes)-1 <= maxInlineDims {
 			newAxes = sec.axesBuf[:0]
 		} else {
 			newAxes = make([]int, 0, len(a.axes)-1)
 		}
-		for k := range a.axes {
-			if k != pos {
-				newAxes = append(newAxes, a.axes[k])
+		for _, rootAx := range a.axes {
+			if rootAx != ax {
+				newAxes = append(newAxes, rootAx)
 			}
 		}
-		sec.grid = a.gridSliceThrough(pos, owner)
+		sec.grid, _ = a.sliceGrid(a.grid, 0, sd, i)
 		sec.axes = newAxes
 	}
 	sec.finishView()
@@ -773,22 +797,22 @@ type gridSliceKey struct {
 // gridSliceCacheKey is this package's Proc.Scratch registration key.
 type gridSliceCacheKey struct{}
 
-// gridSliceThrough returns the slice of the view's grid with the dimension
-// at position pos fixed at coordinate owner, memoized per processor and
-// parent grid: every section through the same owner — of any array on that
-// grid — shares one grid object, so sectioning a dimension of extent n
-// costs O(owners), not O(n · arrays), grid constructions.
-func (a *Array) gridSliceThrough(pos, owner int) *topology.Grid {
-	cache := a.st.p.Scratch(gridSliceCacheKey{}, func() any {
+// gridSlice returns the slice of grid g with the dimension at position
+// pos fixed at coordinate owner, memoized per processor and parent grid:
+// every section through the same owner — of any array on that grid —
+// shares one grid object, so sectioning a dimension of extent n costs
+// O(owners), not O(n · arrays), grid constructions.
+func (st *store) gridSlice(g *topology.Grid, pos, owner int) *topology.Grid {
+	cache := st.p.Scratch(gridSliceCacheKey{}, func() any {
 		return make(map[gridSliceKey]*topology.Grid)
 	}).(map[gridSliceKey]*topology.Grid)
-	key := gridSliceKey{g: a.grid, pos: pos, owner: owner}
-	if g, ok := cache[key]; ok {
-		return g
+	key := gridSliceKey{g: g, pos: pos, owner: owner}
+	if s, ok := cache[key]; ok {
+		return s
 	}
 	var specBuf [maxInlineDims]int
 	var spec []int
-	if gd := a.grid.Dims(); gd <= maxInlineDims {
+	if gd := g.Dims(); gd <= maxInlineDims {
 		spec = specBuf[:gd]
 	} else {
 		spec = make([]int, gd)
@@ -800,9 +824,9 @@ func (a *Array) gridSliceThrough(pos, owner int) *topology.Grid {
 			spec[k] = topology.All
 		}
 	}
-	g := a.grid.Slice(spec...)
-	cache[key] = g
-	return g
+	s := g.Slice(spec...)
+	cache[key] = s
+	return s
 }
 
 // String describes the array for diagnostics.

@@ -65,10 +65,10 @@ type Ctx struct {
 	scope machine.Scope
 	seq   int
 
-	// runs counts Exec invocations served by this root context; reused
-	// reports whether the current run is a repeat (see Reused).
-	runs   int
-	reused bool
+	// root marks the contexts Exec keeps per (processor, grid); decls
+	// holds their declaration slots, one per program (see Declare).
+	root  bool
+	decls []any
 
 	// plans memoizes compiled doall headers by (ranges, on-clause,
 	// read-set), so iterative loops written with plain Doall calls pay
@@ -90,29 +90,63 @@ type rootCtxKey struct{ g *topology.Grid }
 // The root context is cached per (processor, grid) across Exec calls: its
 // message scope and phase counter restart at the root every run (so scope
 // streams are identical whether the context is fresh or reused), while the
-// plan cache persists — an iterative driver re-running the same subroutine
-// pays for doall communication derivation once, not once per run.
+// plan cache and the declaration slots persist — an iterative driver
+// re-running the same subroutine declares its arrays and derives its doall
+// communication once, not once per run.
 func Exec(m *machine.Machine, g *topology.Grid, body func(c *Ctx) error) error {
 	return m.Run(func(p *machine.Proc) error {
 		if !g.Contains(p.Rank()) {
 			return nil
 		}
-		c := p.Scratch(rootCtxKey{g}, func() any { return &Ctx{P: p, G: g} }).(*Ctx)
+		c := p.Scratch(rootCtxKey{g}, func() any { return &Ctx{P: p, G: g, root: true} }).(*Ctx)
 		c.scope = machine.RootScope()
 		c.seq = 0
-		c.reused = c.runs > 0
-		c.runs++
 		return body(c)
 	})
 }
 
-// Reused reports whether the calling run is a repeat on this root context —
-// the same machine executing the same grid's subroutines again. Subroutine
-// bodies use it to decide when caching compiled state in Proc.Scratch will
-// ever pay off: a first run (every run on a freshly constructed machine)
-// skips the cache bookkeeping entirely, so one-shot programs pay nothing
-// for the reuse machinery. Always false on child contexts.
-func (c *Ctx) Reused() bool { return c.reused }
+// declSlot is one program's declaration on a root context: the args it was
+// built for and the built state.
+type declSlot[K comparable, T any] struct {
+	args K
+	val  T
+}
+
+// Declare returns the declaration half of a parallel subroutine — its
+// distributed arrays and compiled doall headers, whatever build returns —
+// the paper's "declare once, then replay the data motion". On a root
+// context the first call builds and keeps the result; later runs with
+// equal args get it back without rebuilding. A program's slot is
+// identified by its (K, T) type pair, so each program declares its own
+// args type and keeps exactly one slot per root context: a call with
+// different args rebuilds and replaces it, which bounds what untrusted
+// args can make a long-lived System retain. On any other context (a Call
+// or doall child) Declare just builds.
+//
+// build must derive everything it returns from args and the context alone,
+// and must consume no message scopes (array construction and plan
+// compilation consume none), so cached and fresh runs are bit-identical.
+// The caller re-fills whatever values a run reads before reading them.
+func Declare[K comparable, T any](c *Ctx, args K, build func() T) T {
+	if !c.root {
+		return build()
+	}
+	for _, d := range c.decls {
+		if s, ok := d.(*declSlot[K, T]); ok {
+			if s.args != args {
+				s.args, s.val = args, build()
+			}
+			return s.val
+		}
+	}
+	s := &declSlot[K, T]{args: args, val: build()}
+	c.decls = append(c.decls, s)
+	return s.val
+}
+
+// Declared returns the number of declaration slots the context holds:
+// one per program that has run on it (always 0 off a root context).
+func (c *Ctx) Declared() int { return len(c.decls) }
 
 // NextScope returns a fresh message scope for the next communication phase.
 // Every processor of the grid must call it the same number of times in the

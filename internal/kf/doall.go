@@ -79,7 +79,7 @@ func ownedStripOf(a *darray.Array, dim int) (lo, hi int, g *topology.Grid, ok bo
 	if lo > hi {
 		return lo, hi, nil, true
 	}
-	return lo, hi, a.Section(dim, lo).Grid(), true
+	return lo, hi, a.SectionGrid(dim, lo), true
 }
 
 // onOwner1 implements "on owner(A(i))".
@@ -202,7 +202,7 @@ func (o onOwner2) ownedStrip2(c *Ctx) ([2]span, *topology.Grid, bool) {
 	if s[0].empty() || s[1].empty() {
 		return s, nil, true // no iterations here: grid unused
 	}
-	return s, o.a.Section(0, ilo).Section(0, jlo).Grid(), true
+	return s, o.a.OwnerGrid(ilo, jlo), true
 }
 
 // eachOwned calls f for every index of r that falls inside the owned span,
@@ -464,7 +464,7 @@ func (o onOwner3) ownedStrip3(c *Ctx) ([3]span, *topology.Grid, bool) {
 	if s[0].empty() || s[1].empty() || s[2].empty() {
 		return s, nil, true
 	}
-	g := o.a.Section(0, s[0].lo).Section(0, s[1].lo).Section(0, s[2].lo).Grid()
+	g := o.a.OwnerGrid(s[0].lo, s[1].lo, s[2].lo)
 	return s, g, true
 }
 

@@ -25,7 +25,7 @@ type msgKey struct {
 // goroutine receives from a mailbox; any processor may put into it.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond // L is &mu
 	queues map[msgKey][]message
 	// spare recycles drained per-key queue slices so steady-state
 	// traffic performs no allocation: a phase's keys are used once and
@@ -102,14 +102,30 @@ type mailboxes struct {
 	down    atomic.Bool
 }
 
-// init allocates n mailboxes for the ranks [lo, lo+n).
+// seedQueues is how many empty queue slices each mailbox starts with on
+// its spare list. A stencil receiver holds about one stream per neighbor at
+// a time, so seeding that many lets a first run take its queues from the
+// spare list instead of growing each receiver's queues and spare list from
+// nil.
+const seedQueues = 4
+
+// init allocates n mailboxes for the ranks [lo, lo+n). The seeded spare
+// lists and their one-message queues are carved from one backing
+// allocation each, shared by every mailbox.
 func (m *mailboxes) init(lo, n int) {
 	m.lo = lo
 	m.boxes = make([]mailbox, n)
+	spares := make([][]message, n*seedQueues)
+	msgs := make([]message, n*seedQueues)
 	for i := range m.boxes {
 		mb := &m.boxes[i]
-		mb.cond = sync.NewCond(&mb.mu)
+		mb.cond.L = &mb.mu
 		mb.queues = make(map[msgKey][]message)
+		first, end := i*seedQueues, (i+1)*seedQueues
+		for j := first; j < end; j++ {
+			spares[j] = msgs[j : j : j+1]
+		}
+		mb.spare = spares[first:end:end]
 	}
 }
 

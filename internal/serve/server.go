@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -220,12 +221,38 @@ func (req *RunRequest) costModel() machine.CostModel {
 // could use.
 const maxRunBody = 1 << 20
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+// decodeRun reads one /v1/run body, which the caller has already capped at
+// maxRunBody; unknown fields are refused.
+func decodeRun(body io.Reader) (RunRequest, error) {
 	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.fail(w, "", &BadRequestError{Msg: fmt.Sprintf("decode request: %v", err)})
+		return req, &BadRequestError{Msg: fmt.Sprintf("decode request: %v", err)}
+	}
+	return req, nil
+}
+
+// poolKey is the key a validated request's System is pooled under.
+func (req *RunRequest) poolKey() string {
+	return core.PoolKey(req.Grid, req.Transport, req.Nodes, req.Executor, req.costModel())
+}
+
+// newSystem constructs the System a validated request runs on. Constructor
+// rejections (unknown transport, node count that does not divide, bad link
+// specs) are the client's configuration errors.
+func (req *RunRequest) newSystem() (*core.System, error) {
+	sys, err := core.NewSystem(req.options()...)
+	if err != nil {
+		return nil, &BadRequestError{Msg: err.Error()}
+	}
+	return sys, nil
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRun(http.MaxBytesReader(w, r.Body, maxRunBody))
+	if err != nil {
+		s.fail(w, "", err)
 		return
 	}
 	if s.draining.Load() {
@@ -252,8 +279,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	queueWait := time.Since(queued)
 	s.metrics.queueSeconds.observe(queueWait.Seconds())
 
-	key := core.PoolKey(req.Grid, req.Transport, req.Nodes, req.Executor, req.costModel())
-	resp, err := s.execute(&req, key, queueWait)
+	resp, err := s.execute(&req, req.poolKey(), queueWait)
 	if err != nil {
 		s.fail(w, req.Program, err)
 		return
@@ -273,15 +299,7 @@ func (s *Server) execute(req *RunRequest, key string, queueWait time.Duration) (
 		// rejection; surface it as the client's error.
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
-	lease, err := s.pool.Checkout(key, func() (*core.System, error) {
-		sys, err := core.NewSystem(req.options()...)
-		if err != nil {
-			// Constructor rejections (unknown transport, node count that
-			// does not divide, bad link specs) are configuration errors.
-			return nil, &BadRequestError{Msg: err.Error()}
-		}
-		return sys, nil
-	})
+	lease, err := s.pool.Checkout(key, req.newSystem)
 	if err != nil {
 		return nil, err
 	}
